@@ -6,8 +6,9 @@ Run from the repository root.  A request is one `splitkit.cli.main(argv)`
 call in a fresh interpreter (child.py); a single client sends the
 workload's requests as a closed loop, one in flight, and checks every
 report against the independent oracles in checks.py.  It makes whole
-passes over the request list, at least the workload's `min_passes`, and
-starts another only while it still fits in `--seconds`.
+passes over the request list, at least one and more while another still
+fits in `--seconds`; an untraced run then fills the time left by sending
+again the requests that set req_p50_s and req_tail_s (see `measure`).
 
 --trace 0 prints the end-to-end metrics.  --trace 1 runs every request
 twice, untraced and traced, and prints the per-layer metrics of
@@ -50,6 +51,7 @@ class Outcome:
     setup: float | None = None  # spawn until splitkit.cli is imported
     latency: float | None = None  # main(argv), JSON emit included
     rss_kb: int = 0
+    wall: float = 0.0  # spawn until the process ended
 
 
 def run_request(req_id: int, req: workloads.Request | None, argv, deadline: float, spans: Path | None = None) -> Outcome:
@@ -66,12 +68,13 @@ def run_request(req_id: int, req: workloads.Request | None, argv, deadline: floa
     except subprocess.TimeoutExpired:
         proc.kill()
         proc.communicate()
-        return Outcome(label, f"timed out after {timeout:.1f} s")
+        return Outcome(label, f"timed out after {timeout:.1f} s", wall=time.monotonic() - spawned)
+    wall = time.monotonic() - spawned
     lines = err.decode("utf-8", "replace").splitlines()
     if not lines or not lines[-1].startswith("PERFBENCH "):
-        return Outcome(label, f"exit {proc.returncode} without a timing record: {lines[-1:] or 'no stderr'}")
+        return Outcome(label, f"exit {proc.returncode} without a timing record: {lines[-1:] or 'no stderr'}", wall=wall)
     rec = json.loads(lines[-1][len("PERFBENCH ") :])
-    result = Outcome(label, None, rec["ready"] - spawned, rec["latency"], rec["maxrss_kb"])
+    result = Outcome(label, None, rec["ready"] - spawned, rec["latency"], rec["maxrss_kb"], wall)
     if req is None:
         return result
     try:
@@ -81,12 +84,11 @@ def run_request(req_id: int, req: workloads.Request | None, argv, deadline: floa
     return result
 
 
-def tail(latencies: list, samples_at_min: int) -> tuple:
-    """(percentile, value): the percentile fixed by the smallest run's sample
-    count, so every run of a workload reports the same percentile."""
-    pct = max(0.0, 1 - TAIL_BEYOND / samples_at_min)
-    ordered = sorted(latencies)
-    return pct, ordered[max(0, math.ceil(pct * len(ordered)) - 1)]
+def tail_rank(wl: workloads.Workload, num_requests: int) -> int:
+    """1-based rank of req_tail_s in the list ordered by median latency: the
+    highest percentile that leaves ten attempts beyond it in `tail_passes`
+    whole passes, so every run of a workload reports the same percentile."""
+    return max(1, num_requests - TAIL_BEYOND // wl.tail_passes)
 
 
 def main() -> int:
@@ -121,38 +123,61 @@ def measure(args, work: Path) -> int:
             return 2
 
     outcomes, traced, stats = [], [], tracing.Stats()
+
+    def send(req):
+        rid = len(outcomes)
+        outcomes.append(run_request(rid, req, req.argv, deadline))
+        if args.trace:
+            spans = work / f"spans-{rid}.json"
+            traced.append(run_request(rid, req, req.argv, deadline, spans))
+            if spans.is_file():
+                stats.add(json.loads(spans.read_text()))
+                spans.unlink()
+
+    def fits(seconds_needed: float) -> bool:
+        now = time.monotonic()
+        return now - started + seconds_needed <= args.seconds and now + seconds_needed <= deadline
+
     passes = 0
     while True:
         pass_start = time.monotonic()
-        for i, req in enumerate(requests):
-            rid = passes * len(requests) + i
-            res = run_request(rid, req, req.argv, deadline)
-            outcomes.append(res)
-            if args.trace:
-                spans = work / f"spans-{rid}.json"
-                traced.append(run_request(rid, req, req.argv, deadline, spans))
-                if spans.is_file():
-                    stats.add(json.loads(spans.read_text()))
-                    spans.unlink()
+        for req in requests:
+            send(req)
         passes += 1
-        now = time.monotonic()
-        fits = now - started + (now - pass_start) <= args.seconds
-        if (passes >= (1 if args.trace else wl.min_passes) and not fits) or now + (now - pass_start) > deadline:
+        if not fits(time.monotonic() - pass_start):
             break
+
+    if not args.trace:
+        # The order statistics rest on the requests at and below their ranks.
+        # A long request (boolean5 over Q takes a third of a topo-q run) leaves
+        # room for one pass only, so the time left goes to those requests:
+        # each request's median stays unbiased, it just gets more samples.
+        first = {o.label: o.latency for o in outcomes[: len(requests)]}
+        ranked = sorted(requests, key=lambda r: math.inf if first[r.label] is None else first[r.label])
+        fill = ranked[: max(len(requests) // 2 + 1, tail_rank(wl, len(requests)))]
+        last_wall = {o.label: o.wall for o in outcomes}
+        sent = True
+        while sent:
+            sent = False
+            for req in fill:
+                if fits(last_wall[req.label]):
+                    send(req)
+                    last_wall[req.label] = outcomes[-1].wall
+                    sent = True
 
     every = outcomes + traced
     failures = [o for o in every if o.error]
     print(f"workload {wl.name}: {wl.why}")
-    print(f"seed {args.seed}: {passes} passes of {len(requests)} requests in {time.monotonic() - started:.1f} s")
+    print(f"seed {args.seed}: {passes} passes of {len(requests)} requests, {len(outcomes)} requests in {time.monotonic() - started:.1f} s")
     print(f"fail_ratio {len(failures) / len(every):.6g} ({len(failures)} of {len(every)} requests)")
     for o in failures:
         print(f"  FAILED {o.label}: {o.error}")
-    median = {}  # label -> median latency over the run's passes
+    median = {}  # label -> median latency over the run's attempts
     for req in requests:
         lat = sorted(o.latency for o in outcomes if o.label == req.label and o.latency is not None)
         if lat:
             median[req.label] = statistics.median(lat)
-            print(f"  {median[req.label]:8.4f} s ({lat[0]:.4f}..{lat[-1]:.4f})  {req.label}")
+            print(f"  {median[req.label]:8.4f} s ({lat[0]:.4f}..{lat[-1]:.4f}, {len(lat)} attempts)  {req.label}")
 
     if args.trace:
         traced_lat = defaultdict(list)
@@ -168,17 +193,20 @@ def measure(args, work: Path) -> int:
         print("largest self times per pass: " + ", ".join(f"{n} {v / passes:.4f} s" for n, v in top))
     else:
         timed = [o for o in outcomes if o.latency is not None]
-        latencies = [o.latency for o in timed]
-        pct, tail_value = tail(latencies, len(requests) * wl.min_passes) if latencies else (0.0, 0.0)
+        by_latency = sorted(median, key=median.get)
+        rank = min(tail_rank(wl, len(requests)), len(by_latency))
         values = {
             "setup_s": statistics.median(o.setup for o in timed) if timed else 0.0,
             "pass_s": sum(median.values()),
-            "req_p50_s": statistics.median(latencies) if latencies else 0.0,
-            "req_tail_s": tail_value,
+            "req_p50_s": statistics.median(median.values()) if median else 0.0,
+            "req_tail_s": median[by_latency[rank - 1]] if median else 0.0,
             "peak_rss_mb": max((o.rss_kb for o in timed), default=0) / 1024,
         }
         metrics = {name: {"value": values[name], "unit": unit} for name, unit in END_TO_END}
-        print(f"req_tail_s is the p{100 * pct:.1f} latency over {len(latencies)} samples")
+        if median:
+            label = by_latency[rank - 1]
+            count = sum(1 for o in timed if o.label == label)
+            print(f"req_tail_s is the p{100 * rank / len(requests):.1f} of the request list: {label}, median of {count} attempts")
     for name, m in metrics.items():
         print(f"  {name} {m['value']:.6g} {m['unit']}")
     result = {"correct": not failures, "attempted": len(every), "failed": len(failures), "metrics": metrics}

@@ -30,7 +30,7 @@ class Request:
 class Workload:
     name: str
     why: str
-    min_passes: int  # every run makes at least this many passes
+    tail_passes: int  # req_tail_s: the tail percentile of this many whole passes
     build: Callable  # (input dir, seed) -> list of Request
 
 
