@@ -41,7 +41,7 @@ from .laygraph import (
 from .mobius import graded_mobius, hilbert_series, hilbert_series_inverse
 from .ncfactor import RootSystem, check_all_orderings, genericity_check
 from .seriespoly import coeffs_as_strings
-from .topo import betti, discrepancy_rhs_table, euler_characteristic, predict_koszulity
+from .topo import DISCREPANCY_CONVENTIONS, betti, discrepancy_rhs_table, euler_characteristic, predict_koszulity
 
 _MATH_ERRORS = (
     GenericityFailure,
@@ -51,13 +51,6 @@ _MATH_ERRORS = (
     NonzeroRemainder,
     DegreeMismatch,
 )
-
-_CONVENTION_FLAGS = {
-    "calibrated": "calibrated",
-    "reduced-min": "reduced-min",
-    "reduced-proper": "reduced-proper",
-    "unreduced-min": "unreduced-min",
-}
 
 
 def _digest(obj) -> str:
@@ -209,12 +202,11 @@ def _cmd_koszul(args, started) -> int:
 def _cmd_discrepancy(args, started) -> int:
     g, _, desc = _build_graph(args)
     field = parse_field(args.field)
-    convention = _CONVENTION_FLAGS[args.convention]
     lhs = discrepancy_lhs_table(g, field)
-    rhs = discrepancy_rhs_table(g, field, convention, parallel=args.parallel)
+    rhs = discrepancy_rhs_table(g, field, args.convention)
     payload = {
         "field": str(field),
-        "convention": convention,
+        "convention": args.convention,
         "degrees": list(range(g.height + 1)),
         "algebra_side": lhs,
         "topology_side": rhs,
@@ -315,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
         out.add_argument("--json", action="store_true", help="compact JSON output (default)")
         out.add_argument("--pretty", action="store_true", help="indented JSON output")
         p.add_argument("--timings", action="store_true", help="include wall-clock timings in the report")
-        p.add_argument("--parallel", action="store_true", help="parallelize per-vertex work where supported")
 
     p = sub.add_parser("graph", help="build/validate a layered graph; report uniformity and purity")
     _add_graph_source(p)
@@ -353,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", required=True, help="q or gf<p>")
     p.add_argument(
         "--convention",
-        choices=sorted(_CONVENTION_FLAGS),
+        choices=sorted(DISCREPANCY_CONVENTIONS),
         default="calibrated",
         help="per-vertex summation rule on the topology side",
     )

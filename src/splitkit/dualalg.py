@@ -236,6 +236,17 @@ def numerical_koszul_check(g: LayeredGraph, field: FieldSpec) -> KoszulVerdict:
     return KoszulVerdict(first is None, first, series_side, algebra_side, field)
 
 
+def _discrepancy_poly(g: LayeredGraph, field: FieldSpec) -> IntPolynomial:
+    return vertex_hilbert(g, field) - substitute_neg(hilbert_series_inverse(g, check_degree=False))
+
+
+def _nonnegative_at(diff: IntPolynomial, k: int) -> int:
+    val = diff[k]
+    if val < 0:
+        raise NegativeDiscrepancy(f"degree {k}: {val}")
+    return val
+
+
 def discrepancy_lhs(g: LayeredGraph, field: FieldSpec, k: int) -> int:
     """Series/algebra discrepancy at degree k, from the algebra side:
 
@@ -244,13 +255,10 @@ def discrepancy_lhs(g: LayeredGraph, field: FieldSpec, k: int) -> int:
     Nonnegative on every corpus graph; a negative value would contradict
     the topological interpretation and raises NegativeDiscrepancy.
     """
-    diff = vertex_hilbert(g, field) - substitute_neg(hilbert_series_inverse(g, check_degree=False))
-    val = diff[k]
-    if val < 0:
-        raise NegativeDiscrepancy(f"degree {k}: {val}")
-    return val
+    return _nonnegative_at(_discrepancy_poly(g, field), k)
 
 
 def discrepancy_lhs_table(g: LayeredGraph, field: FieldSpec) -> list:
-    """[lhs(k) for k = 0..height]."""
-    return [discrepancy_lhs(g, field, k) for k in range(g.height + 1)]
+    """[lhs(k) for k = 0..height], from one discrepancy polynomial."""
+    diff = _discrepancy_poly(g, field)
+    return [_nonnegative_at(diff, k) for k in range(g.height + 1)]

@@ -2,6 +2,8 @@
 
 Everything here is exact: rationals are `fractions.Fraction`, prime-field
 elements are ints reduced into [0, p).  No floating point anywhere.
+`EchelonBasis` is the one elimination kernel: dense ranks, null spaces
+and inverses are read off an echelon basis of the matrix rows.
 """
 
 from dataclasses import dataclass
@@ -87,9 +89,6 @@ class FieldSpec:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def to_str(self, a) -> str:
-        return str(a)
-
     def __str__(self):
         return "Q" if self.p is None else f"GF({self.p})"
 
@@ -113,8 +112,8 @@ class EchelonBasis:
     """Incremental row-echelon basis of sparse vectors over a field.
 
     Rows are dicts {column: value} with the pivot normalized to 1.  Used
-    for rank computations on large sparse relation systems and for
-    canonical (RREF) storage of relation spaces.
+    for every rank in the package (dense matrices, boundary maps, sparse
+    relation systems) and for canonical (RREF) storage of row spaces.
     """
 
     def __init__(self, field: FieldSpec):
@@ -200,10 +199,6 @@ class DenseMatrix:
         if hasattr(self, "field"):
             raise AttributeError("DenseMatrix is immutable")
         super().__setattr__(name, value)
-
-    @classmethod
-    def from_rows(cls, rows, field: FieldSpec) -> "DenseMatrix":
-        return cls(rows, field)
 
     @classmethod
     def identity(cls, n: int, field: FieldSpec) -> "DenseMatrix":
@@ -308,31 +303,14 @@ class DenseMatrix:
         if self.rows != other.rows or self.cols != other.cols or self.field != other.field:
             raise ValueError("shape/field mismatch")
 
-    def _echelon(self):
-        """(echelon rows as lists, pivot column list); destructive on a copy."""
-        f = self.field
-        m = [list(r) for r in self.entries]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pr = next((i for i in range(r, self.rows) if m[i][c]), None)
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = f.inv(m[r][c])
-            m[r] = [f.mul(inv, v) for v in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c]:
-                    coeff = m[i][c]
-                    m[i] = [f.sub(a, f.mul(coeff, b)) for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return m, pivots
+    def _row_basis(self) -> EchelonBasis:
+        basis = EchelonBasis(self.field)
+        for row in self.entries:
+            basis.insert({j: v for j, v in enumerate(row) if v})
+        return basis
 
     def rank(self) -> int:
-        return len(self._echelon()[1])
+        return self._row_basis().rank
 
     def nullspace_dim(self) -> int:
         return self.cols - self.rank()
@@ -340,38 +318,36 @@ class DenseMatrix:
     def nullspace_basis(self) -> list[list]:
         """Basis of {x : self @ x = 0}, one vector per free column."""
         f = self.field
-        m, pivots = self._echelon()
+        rref = self._row_basis().reduced_rows()
+        pivots = [min(row) for row in rref]
         pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
         basis = []
-        for fc in free:
+        for fc in range(self.cols):
+            if fc in pivot_set:
+                continue
             vec = [f.zero()] * self.cols
             vec[fc] = f.one()
-            for r, pc in enumerate(pivots):
-                vec[pc] = f.neg(m[r][fc])
+            for row, pc in zip(rref, pivots):
+                vec[pc] = f.neg(row.get(fc, f.zero()))
             basis.append(vec)
         return basis
 
     def inverse(self) -> "DenseMatrix":
+        """Right half of the reduced row echelon form of [self | I]."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         f = self.field
         n = self.rows
-        m = [list(r) + [f.one() if i == j else f.zero() for j in range(n)] for i, r in enumerate(self.entries)]
-        r = 0
-        for c in range(n):
-            pr = next((i for i in range(r, n) if m[i][c]), None)
-            if pr is None:
-                raise SingularMatrix(f"matrix of size {n} has rank < {n}")
-            m[r], m[pr] = m[pr], m[r]
-            inv = f.inv(m[r][c])
-            m[r] = [f.mul(inv, v) for v in m[r]]
-            for i in range(n):
-                if i != r and m[i][c]:
-                    coeff = m[i][c]
-                    m[i] = [f.sub(a, f.mul(coeff, b)) for a, b in zip(m[i], m[r])]
-            r += 1
-        return DenseMatrix([row[n:] for row in m], f, shape=(n, n))
+        basis = EchelonBasis(f)
+        for i, row in enumerate(self.entries):
+            vec = {j: v for j, v in enumerate(row) if v}
+            vec[n + i] = f.one()
+            basis.insert(vec)
+        if any(c >= n for c in basis.pivots):
+            raise SingularMatrix(f"matrix of size {n} has rank < {n}")
+        return DenseMatrix(
+            [[row.get(n + j, f.zero()) for j in range(n)] for row in basis.reduced_rows()], f, shape=(n, n)
+        )
 
     def to_lists(self):
         return [list(r) for r in self.entries]
@@ -379,18 +355,6 @@ class DenseMatrix:
     def __repr__(self):
         body = "; ".join(" ".join(str(v) for v in r) for r in self.entries)
         return f"DenseMatrix({self.rows}x{self.cols} over {self.field}: [{body}])"
-
-
-def rank(m: DenseMatrix) -> int:
-    return m.rank()
-
-
-def inverse(m: DenseMatrix) -> DenseMatrix:
-    return m.inverse()
-
-
-def nullspace_dim(m: DenseMatrix) -> int:
-    return m.nullspace_dim()
 
 
 def annihilator_basis(rows: list[list], dim: int, field: FieldSpec) -> list[list]:

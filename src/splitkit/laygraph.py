@@ -29,7 +29,7 @@ def set_id(vertices) -> str:
 class LayeredGraph:
     """Immutable layered graph: vertices with levels, one-step-down edges."""
 
-    __slots__ = ("vertices", "edges", "_level", "_out", "_in", "height", "_desc")
+    __slots__ = ("vertices", "edges", "_level", "_out", "_in", "height", "_desc", "_mu")
 
     def __init__(self, vertices, edges):
         vs = [(str(v), int(lv)) for v, lv in vertices]
@@ -61,9 +61,10 @@ class LayeredGraph:
         self._out = {v: tuple(sorted(ws)) for v, ws in out.items()}
         self._in = {v: tuple(sorted(ws)) for v, ws in inc.items()}
         self._desc = None
+        self._mu = None  # Möbius table, filled by mobius._mu_table
 
     def __setattr__(self, name, value):
-        if hasattr(self, "_in") and name != "_desc":
+        if hasattr(self, "_in") and name not in ("_desc", "_mu"):
             raise AttributeError("LayeredGraph is immutable")
         super().__setattr__(name, value)
 
@@ -419,14 +420,10 @@ def is_pure(x: SimplicialComplex, n: int | None = None) -> bool:
     return all(len(f) == n + 1 for f in x.facets)
 
 
-def is_codim1_connected(x: SimplicialComplex) -> bool:
-    """Facet dual graph (adjacency = shared codim-1 face) is connected."""
-    if x.is_empty():
-        return False
+def _codim1_reached(x: SimplicialComplex) -> set:
+    """Indices of the facets joined to facet 0 by a path of shared codim-1 faces."""
     d = x.dim
     facets = [set(f) for f in x.facets]
-    if len(facets) == 1:
-        return True
     seen = {0}
     stack = [0]
     while stack:
@@ -435,4 +432,9 @@ def is_codim1_connected(x: SimplicialComplex) -> bool:
             if j not in seen and len(facets[i] & facets[j]) == d:
                 seen.add(j)
                 stack.append(j)
-    return len(seen) == len(facets)
+    return seen
+
+
+def is_codim1_connected(x: SimplicialComplex) -> bool:
+    """Facet dual graph (adjacency = shared codim-1 face) is connected."""
+    return not x.is_empty() and len(_codim1_reached(x)) == len(x.facets)

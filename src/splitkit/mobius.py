@@ -20,15 +20,11 @@ def mobius_value(g: LayeredGraph, v: str, w: str) -> int:
     return _mu_table(g)[(v, w)]
 
 
-_MU_MEMO: dict = {}
-
-
 def _mu_table(g: LayeredGraph) -> dict:
     """All Möbius values mu(v, w) for w <= v, by the recursion on the lower
-    argument: mu(v, w) = -sum of mu(v, u) over w < u <= v."""
-    key = (g.vertices, g.edges)
-    if key in _MU_MEMO:
-        return _MU_MEMO[key]
+    argument: mu(v, w) = -sum of mu(v, u) over w < u <= v.  Cached on g."""
+    if g._mu is not None:
+        return g._mu
     desc = g.descendants()
     table = {}
     for v, _ in g.vertices:
@@ -41,7 +37,7 @@ def _mu_table(g: LayeredGraph) -> dict:
                 if u != w and w in desc[u]:
                     acc += table[(v, u)]
             table[(v, w)] = -acc
-    _MU_MEMO[key] = table
+    g._mu = table
     return table
 
 

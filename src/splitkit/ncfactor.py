@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import GenericityFailure, SingularMatrix
-from .exactlinalg import RATIONALS, DenseMatrix, char_poly
+from .exactlinalg import RATIONALS, DenseMatrix
 
 
 @dataclass(frozen=True)
@@ -276,11 +276,6 @@ def check_diamond(rs: RootSystem, a, i: int, j: int, table: PseudoRootTable | No
     xij = table.pseudo_root(a | {i}, j)
     xji = table.pseudo_root(a | {j}, i)
     return (xij + xi == xji + xj) and (xij * xi == xji * xj)
-
-
-def root_char_poly(m: DenseMatrix):
-    """Characteristic polynomial coefficients of a rational matrix."""
-    return char_poly(m)
 
 
 def random_generic_roots(n: int, d: int, rng, bound: int = 4, max_tries: int = 200) -> RootSystem:

@@ -1,21 +1,21 @@
 """Simplicial homology over a field, order complexes, and local homology.
 
-Boundary matrices are exact DenseMatrix objects; Betti numbers come from
-rank-nullity.  Over a field, cohomology dimensions equal homology
-dimensions degreewise, so the homological ranks serve for both.
+Boundary maps are lists of sparse signed columns whose ranks come from
+the exact EchelonBasis kernel; Betti numbers come from rank-nullity.
+Over a field, cohomology dimensions equal homology dimensions
+degreewise, so the homological ranks serve for both.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import FaceNotInComplex, HypothesisViolation
-from .exactlinalg import DenseMatrix, FieldSpec
+from .exactlinalg import EchelonBasis, FieldSpec
 from .laygraph import (
     STAR_ID,
     LayeredGraph,
     SimplicialComplex,
+    _codim1_reached,
     down_graph,
-    is_codim1_connected,
     is_pure,
     require_valid,
 )
@@ -38,48 +38,53 @@ class BettiVector:
         return sum(self.b)
 
 
-def boundary_matrices(x: SimplicialComplex, field: FieldSpec, reduced: bool) -> list:
+def boundary_columns(x: SimplicialComplex, field: FieldSpec, reduced: bool) -> list:
     """[D_0, ..., D_dim] with D_k the boundary map C_k -> C_{k-1}.
 
-    D_0 is the augmentation row when reduced, else a 0-row matrix.
-    Simplices are ordered by sorted vertex tuple; the sign of dropping
-    position j is (-1)^j.  The composite of consecutive maps is checked
-    to vanish.
+    Each D_k is a list of sparse columns {row: +-1}, one per k-simplex.
+    D_0 is the augmentation row when reduced, else a map to the zero
+    space (empty columns).  Simplices are ordered by sorted vertex tuple;
+    the sign of dropping position j is (-1)^j.  The composite of
+    consecutive maps is checked to vanish.
     """
     bases = [x.faces_of_dim(k) for k in range(x.dim + 1)]
-    mats = []
-    for k in range(x.dim + 1):
-        if k == 0:
-            if reduced:
-                mats.append(DenseMatrix([[field.one()] * len(bases[0])], field))
-            else:
-                mats.append(DenseMatrix.zeros(0, len(bases[0]), field))
-            continue
+    one = field.one()
+    maps = [[{0: one} if reduced else {} for _ in bases[0]]]
+    for k in range(1, x.dim + 1):
         index = {s: i for i, s in enumerate(bases[k - 1])}
         cols = []
         for simplex in bases[k]:
-            col = [field.zero()] * len(bases[k - 1])
-            sign = field.one()
+            col = {}
+            sign = one
             for j in range(len(simplex)):
-                face = simplex[:j] + simplex[j + 1 :]
-                col[index[face]] = sign
+                col[index[simplex[:j] + simplex[j + 1 :]]] = sign
                 sign = field.neg(sign)
             cols.append(col)
-        mats.append(DenseMatrix(list(zip(*cols)), field, shape=(len(bases[k - 1]), len(bases[k]))))
-    for k in range(1, len(mats)):
-        if mats[k - 1].rows and not (mats[k - 1] * mats[k]).is_zero():
-            raise AssertionError(f"boundary composite at dimension {k} is nonzero")
-    return mats
+        maps.append(cols)
+    for k in range(1, len(maps)):
+        for col in maps[k]:
+            image = {}
+            for r, s in col.items():
+                for q, t in maps[k - 1][r].items():
+                    image[q] = field.add(image.get(q, field.zero()), field.mul(s, t))
+            if any(image.values()):
+                raise AssertionError(f"boundary composite at dimension {k} is nonzero")
+    return maps
 
 
 def betti(x: SimplicialComplex, field: FieldSpec, reduced: bool = False) -> BettiVector:
     """Betti numbers b_i = nullity(D_i) - rank(D_{i+1}) for i = 0..dim."""
     if x.is_empty():
         return BettiVector((), reduced, field)
-    mats = boundary_matrices(x, field, reduced)
-    ranks = [m.rank() for m in mats] + [0]
-    sizes = [m.cols for m in mats]
-    b = tuple(sizes[i] - ranks[i] - ranks[i + 1] for i in range(len(sizes)))
+    maps = boundary_columns(x, field, reduced)
+    ranks = []
+    for cols in maps:
+        basis = EchelonBasis(field)
+        for col in cols:
+            basis.insert(col)
+        ranks.append(basis.rank)
+    ranks.append(0)
+    b = tuple(len(maps[i]) - ranks[i] - ranks[i + 1] for i in range(len(maps)))
     return BettiVector(b, reduced, field)
 
 
@@ -94,16 +99,11 @@ def order_complex(g: LayeredGraph, exclude=frozenset()) -> SimplicialComplex:
     (level, id) order; facets are the maximal chains.  `exclude` drops
     poset elements (e.g. an added minimum) before taking chains.
     """
-    complex_, _ = order_complex_labeled(g, exclude)
-    return complex_
-
-
-def order_complex_labeled(g: LayeredGraph, exclude=frozenset()) -> tuple:
     exclude = set(exclude)
     elems = [v for v, _ in g.vertices if v not in exclude]
     index = {v: i for i, v in enumerate(elems)}
     if not elems:
-        return SimplicialComplex([]), []
+        return SimplicialComplex([])
     desc = g.descendants()
     below = {v: {w for w in desc[v] if w not in exclude} for v in elems}
     covers = {}
@@ -126,7 +126,7 @@ def order_complex_labeled(g: LayeredGraph, exclude=frozenset()) -> tuple:
 
     for v in maximal:
         walk(v, [])
-    return SimplicialComplex(chains), elems
+    return SimplicialComplex(chains)
 
 
 def link(x: SimplicialComplex, simplex) -> SimplicialComplex:
@@ -184,17 +184,9 @@ def predict_koszulity(x: SimplicialComplex, field: FieldSpec) -> KoszulityPredic
     if not is_pure(x, n):
         short = next(f for f in x.facets if len(f) != n + 1)
         raise HypothesisViolation(f"complex is not pure: facet {list(short)} has dimension {len(short) - 1} < {n}")
-    if not is_codim1_connected(x):
-        facets = [set(f) for f in x.facets]
-        seen = {0}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for j in range(len(facets)):
-                if j not in seen and len(facets[i] & facets[j]) == n:
-                    seen.add(j)
-                    stack.append(j)
-        stranded = next(i for i in range(len(facets)) if i not in seen)
+    reached = _codim1_reached(x)
+    if len(reached) < len(x.facets):
+        stranded = next(i for i in range(len(x.facets)) if i not in reached)
         raise HypothesisViolation(
             "complex is not connected through codimension-one faces: no such path "
             f"between facets {list(x.facets[0])} and {list(x.facets[stranded])}"
@@ -236,13 +228,7 @@ def _vertex_contribution(g, v, k, field, convention) -> int:
     return sum(bv[i] for i in range(level))
 
 
-def discrepancy_rhs(
-    g: LayeredGraph,
-    field: FieldSpec,
-    k: int,
-    convention: str = "calibrated",
-    parallel: bool = False,
-) -> int:
+def discrepancy_rhs(g: LayeredGraph, field: FieldSpec, k: int, convention: str = "calibrated") -> int:
     """Topological side of the series/algebra discrepancy at degree k.
 
     Sums, over vertices of level >= k, homology data of the order complex
@@ -261,15 +247,9 @@ def discrepancy_rhs(
         raise ValueError(f"unknown convention {convention!r}")
     if k < 0 or k > g.height:
         raise ValueError(f"need 0 <= k <= height = {g.height}")
-    vs = [v for v, lv in g.vertices if lv >= k]
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            return sum(pool.map(lambda v: _vertex_contribution(g, v, k, field, convention), vs))
-    return sum(_vertex_contribution(g, v, k, field, convention) for v in vs)
+    return sum(_vertex_contribution(g, v, k, field, convention) for v, lv in g.vertices if lv >= k)
 
 
-def discrepancy_rhs_table(
-    g: LayeredGraph, field: FieldSpec, convention: str = "calibrated", parallel: bool = False
-) -> list:
+def discrepancy_rhs_table(g: LayeredGraph, field: FieldSpec, convention: str = "calibrated") -> list:
     """[rhs(k) for k = 0..height]."""
-    return [discrepancy_rhs(g, field, k, convention, parallel) for k in range(g.height + 1)]
+    return [discrepancy_rhs(g, field, k, convention) for k in range(g.height + 1)]

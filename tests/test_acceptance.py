@@ -13,7 +13,7 @@ import random
 from splitkit.calibration import calibrate_convention, default_cases
 from splitkit.dualalg import discrepancy_lhs_table, vertex_hilbert, numerical_koszul_check
 from splitkit.errors import DegreeMismatch
-from splitkit.exactlinalg import GF2, RATIONALS, char_poly
+from splitkit.exactlinalg import GF2, RATIONALS, DenseMatrix, char_poly
 from splitkit.fixtures import (
     boundary_delta3,
     complexes,
@@ -40,7 +40,7 @@ from splitkit.ncfactor import (
     viete_coefficients,
 )
 from splitkit.seriespoly import IntPolynomial, TruncatedSeries, poly_divide, series_inverse, series_mul
-from splitkit.topo import betti, boundary_matrices, discrepancy_rhs_table, euler_characteristic, predict_koszulity
+from splitkit.topo import betti, boundary_columns, discrepancy_rhs_table, euler_characteristic, predict_koszulity
 
 
 def _line(tag: str, ok: bool, detail: str = ""):
@@ -187,7 +187,12 @@ def test_criterion_8_property_suites():
     # boundary composite and Euler characteristic
     for _, x in complexes():
         for field in (RATIONALS, GF2):
-            mats = boundary_matrices(x, field, reduced=True)
+            maps = boundary_columns(x, field, reduced=True)
+            heights = [1] + [len(cols) for cols in maps]
+            mats = [
+                DenseMatrix([[col.get(r, 0) for col in cols] for r in range(heights[k])], field)
+                for k, cols in enumerate(maps)
+            ]
             ok &= all((mats[k - 1] * mats[k]).is_zero() for k in range(1, len(mats)))
             b = betti(x, field, reduced=False)
             ok &= euler_characteristic(x) == sum((-1) ** i * v for i, v in enumerate(b.b))

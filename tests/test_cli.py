@@ -158,12 +158,6 @@ def test_graph_out_writes_hat_file(capsys, tmp_path):
     assert g.height == 3 and "M" in g.ids()
 
 
-def test_discrepancy_parallel_flag(capsys):
-    _, serial, _ = run(capsys, "discrepancy", "--boolean", "3", "--field", "gf2")
-    _, parallel, _ = run(capsys, "discrepancy", "--boolean", "3", "--field", "gf2", "--parallel")
-    assert serial == parallel
-
-
 def test_reports_identical_across_processes_and_hash_seeds(tmp_path):
     import os
     import subprocess

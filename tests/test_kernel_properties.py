@@ -1,0 +1,98 @@
+"""Seeded property tests for the one elimination kernel (EchelonBasis).
+
+Every DenseMatrix rank, null space and inverse, and every Betti number,
+is read off an EchelonBasis.  The oracles here avoid elimination: matrix
+products by `DenseMatrix.__mul__`, ranks and singularity from Leibniz
+determinants of minors, and Betti numbers from coning and the Euler
+characteristic.
+"""
+
+import itertools
+
+import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from splitkit.errors import SingularMatrix
+from splitkit.exactlinalg import GF2, GF3, RATIONALS, DenseMatrix
+from splitkit.laygraph import SimplicialComplex
+from splitkit.topo import betti, euler_characteristic
+
+FIELDS = (RATIONALS, GF2, GF3)
+SETTINGS = settings(max_examples=150, deadline=None, database=None)
+
+
+def _det(rows, field):
+    """Leibniz expansion: the sum over permutations of signed products."""
+    acc = field.zero()
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(perm)), 2))
+        term = field.one() if inversions % 2 == 0 else field.neg(field.one())
+        for i, j in enumerate(perm):
+            term = field.mul(term, rows[i][j])
+        acc = field.add(acc, term)
+    return acc
+
+
+def _minor_rank(m: DenseMatrix) -> int:
+    """Largest k with a nonzero k x k minor."""
+    for k in range(min(m.rows, m.cols), 0, -1):
+        for rs in itertools.combinations(range(m.rows), k):
+            for cs in itertools.combinations(range(m.cols), k):
+                if _det([[m[i, j] for j in cs] for i in rs], m.field):
+                    return k
+    return 0
+
+
+@st.composite
+def matrices(draw, square=False):
+    field = draw(st.sampled_from(FIELDS))
+    rows = draw(st.integers(1, 4))
+    cols = rows if square else draw(st.integers(1, 5))
+    entry = st.integers(-3, 3) if draw(st.booleans()) else st.sampled_from([0, 0, 1, -1])
+    return DenseMatrix([[draw(entry) for _ in range(cols)] for _ in range(rows)], field)
+
+
+@SETTINGS
+@seed(20090911)
+@given(matrices())
+def test_nullspace_rank_and_rank_nullity(m):
+    basis = m.nullspace_basis()
+    for v in basis:
+        assert (m * DenseMatrix([[x] for x in v], m.field)).is_zero()
+    rank = _minor_rank(m)
+    assert m.rank() == rank
+    assert rank + len(basis) == m.cols
+    if basis:
+        assert _minor_rank(DenseMatrix(basis, m.field)) == len(basis)
+
+
+@SETTINGS
+@seed(20090912)
+@given(matrices(square=True))
+def test_inverse_exactly_when_full_rank(m):
+    identity = DenseMatrix.identity(m.rows, m.field)
+    if _det(m.entries, m.field):
+        inv = m.inverse()
+        assert m * inv == identity and inv * m == identity
+        assert m.rank() == m.rows
+    else:
+        with pytest.raises(SingularMatrix):
+            m.inverse()
+        assert m.rank() < m.rows
+
+
+complexes = st.lists(
+    st.frozensets(st.integers(0, 5), min_size=1, max_size=4), min_size=1, max_size=6
+).map(SimplicialComplex)
+
+
+@SETTINGS
+@seed(20090913)
+@given(complexes, st.sampled_from(FIELDS))
+def test_cone_is_acyclic_and_euler_characteristic(x, field):
+    apex = 6  # at most 7 vertices in the cone
+    cone = SimplicialComplex([f + (apex,) for f in x.facets])
+    assert betti(cone, field, reduced=True).total() == 0
+    b = betti(x, field, reduced=False)
+    assert euler_characteristic(x) == sum((-1) ** i * v for i, v in enumerate(b.b))

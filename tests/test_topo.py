@@ -1,7 +1,7 @@
 import pytest
 
 from splitkit.errors import FaceNotInComplex, HypothesisViolation
-from splitkit.exactlinalg import GF2, GF3, RATIONALS
+from splitkit.exactlinalg import GF2, GF3, RATIONALS, DenseMatrix
 from splitkit.fixtures import (
     boundary_delta3,
     delta2,
@@ -12,7 +12,7 @@ from splitkit.fixtures import (
 from splitkit.laygraph import LayeredGraph, SimplicialComplex, boolean_graph, complex_graph, down_graph, hat
 from splitkit.topo import (
     betti,
-    boundary_matrices,
+    boundary_columns,
     discrepancy_rhs,
     euler_characteristic,
     link,
@@ -45,9 +45,16 @@ def test_unreduced_betti_counts_components():
 
 
 def test_boundary_composite_vanishes():
+    # densified here and multiplied densely, independent of the sparse check in boundary_columns
     for x in (delta2(), boundary_delta3(), rp2_six(), wedge_triangles()):
         for field in (RATIONALS, GF2):
-            mats = boundary_matrices(x, field, reduced=True)
+            maps = boundary_columns(x, field, reduced=True)
+            heights = [1] + [len(cols) for cols in maps]
+            mats = [
+                DenseMatrix([[col.get(r, 0) for col in cols] for r in range(heights[k])], field)
+                for k, cols in enumerate(maps)
+            ]
+            assert [m.cols for m in mats] == x.f_vector()
             for k in range(1, len(mats)):
                 assert (mats[k - 1] * mats[k]).is_zero()
 
@@ -165,14 +172,6 @@ def test_discrepancy_rhs_printed_conventions_disagree_on_koszul_corpus():
     # the cone convention is identically zero, so it misses the nonzero case
     g2 = hat(complex_graph(rp2_six()))
     assert all(discrepancy_rhs(g2, GF2, k, "reduced-min") == 0 for k in range(5))
-
-
-def test_discrepancy_rhs_parallel_matches_serial():
-    g = hat(complex_graph(delta2()))
-    for k in range(5):
-        assert discrepancy_rhs(g, GF2, k, "calibrated", parallel=True) == discrepancy_rhs(
-            g, GF2, k, "calibrated"
-        )
 
 
 def test_discrepancy_rhs_rejects_bad_args():
