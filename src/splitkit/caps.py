@@ -3,7 +3,7 @@
 import os
 
 TENSOR_ENTRY_CAP = 10**7
-SUBSPACE_VERTEX_CAP = 4096
+VERTEX_CAP = 4096  # vertices of a generated lattice (boolean, subspace)
 
 
 def size_cap(default: int) -> int:

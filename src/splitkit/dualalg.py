@@ -24,7 +24,10 @@ class QuadraticPresentation:
     """Generators plus a canonical (RREF) basis of the degree-2 relation space.
 
     Relation vectors live in the m^2-dimensional tensor square of the
-    generator space, coordinates ordered (row generator, column generator).
+    generator space; coordinate i*m + j is generators[i] (x) generators[j].
+    They are sparse: `make` takes mappings {coordinate: value}, and each
+    stored relation is a tuple of (coordinate, value) pairs sorted by
+    coordinate, so presentations stay hashable and comparable.
     """
 
     generators: tuple
@@ -37,16 +40,12 @@ class QuadraticPresentation:
         dim = len(generators) ** 2
         basis = EchelonBasis(field)
         for vec in relation_vectors:
-            if len(vec) != dim:
-                raise ValueError("relation vector has wrong length")
-            basis.insert({i: field.of(v) for i, v in enumerate(vec) if v})
-        rows = []
-        for sparse in basis.reduced_rows():
-            dense = [field.zero()] * dim
-            for i, v in sparse.items():
-                dense[i] = v
-            rows.append(tuple(dense))
-        return cls(generators, tuple(rows), field)
+            row = {i: field.of(v) for i, v in vec.items()}
+            if any(not 0 <= i < dim for i in row):
+                raise ValueError(f"relation coordinate outside the tensor square of dimension {dim}")
+            basis.insert(row)
+        rows = tuple(tuple(sorted(row.items())) for row in basis.reduced_rows())
+        return cls(generators, rows, field)
 
     @property
     def num_generators(self) -> int:
@@ -77,15 +76,10 @@ def vertex_algebra_presentation(g: LayeredGraph, field: FieldSpec) -> GraphPrese
     edge_set = set(g.edges)
     for u, v in itertools.product(gens, repeat=2):
         if (u, v) not in edge_set:
-            vec = [0] * (m * m)
-            vec[index[u] * m + index[v]] = 1
-            vectors.append(vec)
+            vectors.append({index[u] * m + index[v]: 1})
     for v in gens:
         if g.level(v) >= 2:
-            vec = [0] * (m * m)
-            for w in g.children(v):
-                vec[index[v] * m + index[w]] = 1
-            vectors.append(vec)
+            vectors.append({index[v] * m + index[w]: 1 for w in g.children(v)})
     base = QuadraticPresentation.make(gens, vectors, field)
     return GraphPresentation(base.generators, base.relations, field, graph=g)
 
@@ -171,11 +165,10 @@ def graded_dims(p: QuadraticPresentation, maxdeg: int, cap: int | None = None) -
         for a in range(k - 1):
             b = k - 2 - a
             for rel in p.relations:
-                nonzero = [(i, v) for i, v in enumerate(rel) if v]
                 for left in itertools.product(range(m), repeat=a):
                     for right in itertools.product(range(m), repeat=b):
                         row = {}
-                        for pair, v in nonzero:
+                        for pair, v in rel:
                             word = left + divmod(pair, m) + right
                             idx = 0
                             for w in word:
@@ -202,8 +195,7 @@ def quadratic_dual(p: QuadraticPresentation) -> QuadraticPresentation:
     so the annihilator is the kernel of the relation matrix.
     """
     m = p.num_generators
-    rows = [list(r) for r in p.relations]
-    ann = annihilator_basis(rows, m * m, p.field)
+    ann = annihilator_basis([dict(r) for r in p.relations], m * m, p.field)
     return QuadraticPresentation.make(tuple(f"{g}*" for g in p.generators), ann, p.field)
 
 

@@ -2,8 +2,9 @@
 
 Everything here is exact: rationals are `fractions.Fraction`, prime-field
 elements are ints reduced into [0, p).  No floating point anywhere.
-`EchelonBasis` is the one elimination kernel: dense ranks, null spaces
-and inverses are read off an echelon basis of the matrix rows.
+`EchelonBasis` is the one elimination kernel: dense ranks and inverses
+are read off an echelon basis of the matrix rows, and every null space,
+dense or sparse, comes from `annihilator_basis`.
 """
 
 from dataclasses import dataclass
@@ -159,21 +160,21 @@ class EchelonBasis:
         """Fully back-reduced (RREF) rows, sorted by pivot column."""
         f = self.field
         cols = sorted(self.pivots)
-        rows = {c: dict(self.pivots[c]) for c in cols}
-        for i in reversed(range(len(cols))):
-            ci = cols[i]
-            for j in range(i):
-                cj = cols[j]
-                coeff = rows[cj].get(ci)
-                if not coeff:
-                    continue
-                for c, v in rows[ci].items():
-                    nv = f.sub(rows[cj].get(c, f.zero()), f.mul(coeff, v))
+        final = {}  # rows with a larger pivot, already fully reduced
+        for col in reversed(cols):
+            row = dict(self.pivots[col])
+            # a final row holds no pivot column but its own, so clearing
+            # one pivot column never brings another into the row
+            for pc in row.keys() & final.keys():
+                coeff = row[pc]
+                for c, v in final[pc].items():
+                    nv = f.sub(row.get(c, f.zero()), f.mul(coeff, v))
                     if nv:
-                        rows[cj][c] = nv
+                        row[c] = nv
                     else:
-                        rows[cj].pop(c, None)
-        return [rows[c] for c in cols]
+                        row.pop(c, None)
+            final[col] = row
+        return [final[c] for c in cols]
 
 
 class DenseMatrix:
@@ -303,34 +304,18 @@ class DenseMatrix:
         if self.rows != other.rows or self.cols != other.cols or self.field != other.field:
             raise ValueError("shape/field mismatch")
 
-    def _row_basis(self) -> EchelonBasis:
+    def rank(self) -> int:
         basis = EchelonBasis(self.field)
         for row in self.entries:
             basis.insert({j: v for j, v in enumerate(row) if v})
-        return basis
-
-    def rank(self) -> int:
-        return self._row_basis().rank
-
-    def nullspace_dim(self) -> int:
-        return self.cols - self.rank()
+        return basis.rank
 
     def nullspace_basis(self) -> list[list]:
         """Basis of {x : self @ x = 0}, one vector per free column."""
-        f = self.field
-        rref = self._row_basis().reduced_rows()
-        pivots = [min(row) for row in rref]
-        pivot_set = set(pivots)
-        basis = []
-        for fc in range(self.cols):
-            if fc in pivot_set:
-                continue
-            vec = [f.zero()] * self.cols
-            vec[fc] = f.one()
-            for row, pc in zip(rref, pivots):
-                vec[pc] = f.neg(row.get(fc, f.zero()))
-            basis.append(vec)
-        return basis
+        zero = self.field.zero()
+        rows = [{j: v for j, v in enumerate(row) if v} for row in self.entries]
+        ann = annihilator_basis(rows, self.cols, self.field)
+        return [[vec.get(j, zero) for j in range(self.cols)] for vec in ann]
 
     def inverse(self) -> "DenseMatrix":
         """Right half of the reduced row echelon form of [self | I]."""
@@ -357,19 +342,29 @@ class DenseMatrix:
         return f"DenseMatrix({self.rows}x{self.cols} over {self.field}: [{body}])"
 
 
-def annihilator_basis(rows: list[list], dim: int, field: FieldSpec) -> list[list]:
-    """Basis of {f : sum_j f[j]*r[j] = 0 for every r in rows}.
+def annihilator_basis(rows: list[dict], dim: int, field: FieldSpec) -> list[dict]:
+    """Basis of {f : sum_j f[j]*r[j] = 0 for every r in rows}, one per free column.
 
-    `rows` live in a coordinate space of dimension `dim`; the pairing is
-    the coordinate dot product, which matches <a@b, f@g> = f(a)g(b) when
-    both sides are written in the same product basis.
+    Rows and basis vectors are sparse mappings {coordinate: value} in a
+    coordinate space of dimension `dim`; the pairing is the coordinate dot
+    product, which matches <a@b, f@g> = f(a)g(b) when both sides are
+    written in the same product basis.
     """
+    basis = EchelonBasis(field)
     for r in rows:
-        if len(r) != dim:
-            raise ValueError("row length does not match ambient dimension")
-    if not rows:
-        return [list(r) for r in DenseMatrix.identity(dim, field).entries]
-    return DenseMatrix(rows, field).nullspace_basis()
+        row = {j: field.of(v) for j, v in r.items()}
+        if any(not 0 <= j < dim for j in row):
+            raise ValueError(f"coordinate outside the ambient dimension {dim}")
+        basis.insert(row)
+    rref = basis.reduced_rows()
+    pivots = {min(row) for row in rref}
+    ann = {c: {c: field.one()} for c in range(dim) if c not in pivots}
+    for row in rref:
+        pc = min(row)
+        for c, v in row.items():
+            if c != pc:  # an RREF row is its pivot plus free columns
+                ann[c][pc] = field.neg(v)
+    return list(ann.values())
 
 
 def char_poly(m: DenseMatrix) -> list[Fraction]:

@@ -9,7 +9,7 @@ and the one-vertex-on-top completion of a graph.
 import itertools
 from dataclasses import dataclass
 
-from .caps import SUBSPACE_VERTEX_CAP, size_cap
+from .caps import VERTEX_CAP, size_cap
 from .errors import SizeLimit, ValidationError
 from .exactlinalg import EchelonBasis, FieldSpec
 
@@ -169,6 +169,9 @@ def boolean_graph(n: int) -> LayeredGraph:
     """Subset lattice of {1..n}: level = cardinality, edges drop one element."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    cap = size_cap(VERTEX_CAP)
+    if 1 << n > cap:
+        raise SizeLimit(f"{1 << n} subsets exceeds cap {cap}")
     vertices = []
     edges = []
     for mask in range(1 << n):
@@ -198,7 +201,7 @@ def subspace_graph(n: int, q: int, cap: int | None = None) -> LayeredGraph:
     if q >= 10:
         raise ValueError("subspace ids use single-digit entries; q must be < 10")
     field = FieldSpec(q)
-    cap = size_cap(SUBSPACE_VERTEX_CAP) if cap is None else cap
+    cap = size_cap(VERTEX_CAP) if cap is None else cap
     total = sum(_gaussian_binomial(n, k, q) for k in range(n + 1))
     if total > cap:
         raise SizeLimit(f"{total} subspaces exceeds cap {cap}")

@@ -180,6 +180,8 @@ def predict_koszulity(x: SimplicialComplex, field: FieldSpec) -> KoszulityPredic
     verdict is the conjunction of reduced-homology vanishing below the
     top dimension and local-homology vanishing.
     """
+    if x.is_empty():
+        raise ValueError("complex must have at least one facet")
     n = x.dim
     if not is_pure(x, n):
         short = next(f for f in x.facets if len(f) != n + 1)

@@ -132,6 +132,21 @@ def test_malformed_json_is_usage_error(capsys, tmp_path):
     assert "malformed JSON" in err
 
 
+def test_empty_complex_is_usage_error(capsys, tmp_path):
+    empty = _write(tmp_path, "empty.json", {"facets": []})
+    for argv in (("topology", "--complex", str(empty), "--field", "q"), ("graph", "--complex", str(empty))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "splitkit: complex must have at least one facet\n"
+
+
+def test_boolean_over_vertex_cap_is_usage_error(capsys, monkeypatch):
+    monkeypatch.delenv("SPLITKIT_SIZE_CAP", raising=False)
+    code, out, err = run(capsys, "graph", "--boolean", "13")
+    assert code == 2 and out == ""
+    assert err == "splitkit: 8192 subsets exceeds cap 4096\n"
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "koszul-check", "--graph", "/nonexistent.json", "--field", "q")
     assert code == 2 and "no such file" in err

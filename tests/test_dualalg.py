@@ -15,15 +15,22 @@ from splitkit.dualalg import (
 from splitkit.errors import SizeLimit
 from splitkit.exactlinalg import GF2, GF3, RATIONALS
 from splitkit.fixtures import koszul_corpus, rp2_six, single_edge_graph
-from splitkit.laygraph import boolean_graph, complex_graph, hat
+from splitkit.laygraph import boolean_graph, complex_graph, hat, subspace_graph
 from splitkit.topo import discrepancy_rhs_table
 
 
-def test_presentation_counts_boolean2():
+def test_presentation_counts_match_path_basis():
     pres = vertex_algebra_presentation(boolean_graph(2), RATIONALS)
     assert pres.generators == ("{1}", "{2}", "{1,2}")
     # 7 non-edge pairs + 1 cover-sum relation, all independent
     assert len(pres.relations) == 8
+    # the relation space is what degree 2 of the path basis quotients out
+    cases = [(name, g, field) for name, g in koszul_corpus() for field in (RATIONALS, GF2)]
+    cases.append(("subspace_4_2", subspace_graph(4, 2), GF2))
+    for name, g, field in cases:
+        pres = vertex_algebra_presentation(g, field)
+        m = pres.num_generators
+        assert len(pres.relations) == m * m - vertex_hilbert(g, field)[2], (name, field)
 
 
 def test_presentation_counts_boolean3():
@@ -37,7 +44,7 @@ def test_single_edge_algebra_is_dual_numbers():
     g = single_edge_graph()
     pres = vertex_algebra_presentation(g, RATIONALS)
     assert pres.generators == ("a",)
-    assert pres.relations == ((1,),)  # x (x) x = 0, nothing else
+    assert pres.relations == (((0, 1),),)  # x (x) x = 0, nothing else
     assert list(vertex_hilbert(g, RATIONALS).coeffs) == [1, 1]
 
 
@@ -76,14 +83,12 @@ def test_path_basis_route_matches_generic_tensor_route():
 def test_graded_dims_free_and_truncated_closed_forms():
     free = QuadraticPresentation.make(("x", "y"), [], RATIONALS)
     assert graded_dims(free, 4) == [1, 2, 4, 8, 16]
-    full = QuadraticPresentation.make(
-        ("x", "y"), [[1 if i == j else 0 for i in range(4)] for j in range(4)], RATIONALS
-    )
+    full = QuadraticPresentation.make(("x", "y"), [{j: 1} for j in range(4)], RATIONALS)
     assert graded_dims(full, 4) == [1, 2, 0, 0, 0]
 
 
 def test_graded_dims_cap():
-    free = QuadraticPresentation.make(tuple("abcdefgh"), [[0] * 64], RATIONALS)
+    free = QuadraticPresentation.make(tuple("abcdefgh"), [{}], RATIONALS)
     with pytest.raises(SizeLimit):
         graded_dims(free, 9, cap=10**4)
 
@@ -98,7 +103,7 @@ def test_quadratic_dual_extremes():
 
 
 def test_quadratic_dual_of_square_zero_is_polynomial_ring():
-    p = QuadraticPresentation.make(("x",), [[1]], RATIONALS)
+    p = QuadraticPresentation.make(("x",), [{0: 1}], RATIONALS)
     dual = quadratic_dual(p)
     assert dual.relations == ()
     assert graded_dims(dual, 4) == [1, 1, 1, 1, 1]

@@ -76,19 +76,21 @@ def test_inverse_singular_raises():
 
 
 def test_nullspace_dims():
-    assert DenseMatrix.zeros(2, 3, RATIONALS).nullspace_dim() == 3
-    assert DenseMatrix.identity(3, RATIONALS).nullspace_dim() == 0
-    assert mat([[1, 1], [1, 1]], GF2).nullspace_dim() == 1
+    assert len(DenseMatrix.zeros(2, 3, RATIONALS).nullspace_basis()) == 3
+    assert len(DenseMatrix.identity(3, RATIONALS).nullspace_basis()) == 0
+    assert len(mat([[1, 1], [1, 1]], GF2).nullspace_basis()) == 1
 
 
 def test_annihilator_examples():
     assert len(annihilator_basis([], 2, RATIONALS)) == 2
-    full = [[1, 0], [0, 1]]
+    full = [{0: 1}, {1: 1}]
     assert annihilator_basis(full, 2, RATIONALS) == []
-    one = annihilator_basis([[1, 1]], 2, RATIONALS)
+    one = annihilator_basis([{0: 1, 1: 1}], 2, RATIONALS)
     assert len(one) == 1
-    x, y = one[0]
+    x, y = one[0][0], one[0][1]
     assert x == -y and x != 0
+    with pytest.raises(ValueError):
+        annihilator_basis([{2: 1}], 2, RATIONALS)
 
 
 def test_inverse_times_matrix_is_identity_random():
@@ -125,12 +127,12 @@ def test_annihilator_size_plus_rank_is_dimension_random():
     for _ in range(25):
         d = rng.randint(1, 6)
         rows = random_int_matrix(rng, rng.randint(0, 6), d)
-        ann = annihilator_basis(rows, d, RATIONALS)
+        ann = annihilator_basis([{j: v for j, v in enumerate(row) if v} for row in rows], d, RATIONALS)
         r = mat(rows).rank() if rows else 0
         assert len(ann) + r == d
         for f in ann:
             for row in rows:
-                assert sum(a * b for a, b in zip(f, row)) == 0
+                assert sum(v * row[j] for j, v in f.items()) == 0
 
 
 def test_matrix_power_and_trace():

@@ -1,20 +1,24 @@
 """Seeded property tests for the one elimination kernel (EchelonBasis).
 
 Every DenseMatrix rank, null space and inverse, and every Betti number,
-is read off an EchelonBasis.  The oracles here avoid elimination: matrix
-products by `DenseMatrix.__mul__`, ranks and singularity from Leibniz
-determinants of minors, and Betti numbers from coning and the Euler
-characteristic.
+is read off an EchelonBasis.  The dense oracles here avoid elimination:
+matrix products by `DenseMatrix.__mul__`, ranks and singularity from
+Leibniz determinants of minors, and Betti numbers from coning and the
+Euler characteristic.  The sparse-row tests check `reduced_rows`,
+`annihilator_basis` and the quadratic dual against the RREF definition,
+dot products computed here, and ranks from `insert` alone.
 """
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from splitkit.dualalg import QuadraticPresentation, quadratic_dual
 from splitkit.errors import SingularMatrix
-from splitkit.exactlinalg import GF2, GF3, RATIONALS, DenseMatrix
+from splitkit.exactlinalg import GF2, GF3, RATIONALS, DenseMatrix, EchelonBasis, annihilator_basis
 from splitkit.laygraph import SimplicialComplex
 from splitkit.topo import betti, euler_characteristic
 
@@ -96,3 +100,78 @@ def test_cone_is_acyclic_and_euler_characteristic(x, field):
     assert betti(cone, field, reduced=True).total() == 0
     b = betti(x, field, reduced=False)
     assert euler_characteristic(x) == sum((-1) ** i * v for i, v in enumerate(b.b))
+
+
+@st.composite
+def sparse_systems(draw, dims=st.integers(1, 12)):
+    """(field, dim, rows): a few sparse rows {coordinate: value} in dimension dim."""
+    field = draw(st.sampled_from(FIELDS))
+    dim = draw(dims)
+    row = st.dictionaries(st.integers(0, dim - 1), st.integers(-3, 3), max_size=4)
+    rows = [{c: field.of(v) for c, v in r.items()} for r in draw(st.lists(row, max_size=8))]
+    return field, dim, rows
+
+
+def _rank(rows, field) -> int:
+    basis = EchelonBasis(field)
+    for r in rows:
+        basis.insert(r)
+    return basis.rank
+
+
+def _dot(f, row, field):
+    acc = field.zero()
+    for j, v in f.items():
+        acc = field.add(acc, field.mul(v, row.get(j, field.zero())))
+    return acc
+
+
+@SETTINGS
+@seed(20090914)
+@given(sparse_systems())
+def test_reduced_rows_are_rref_and_span_the_inserted_rows(system):
+    field, _, rows = system
+    basis = EchelonBasis(field)
+    for r in rows:
+        basis.insert(r)
+    rref = basis.reduced_rows()
+    pivots = [min(r) for r in rref]
+    assert pivots == sorted(set(pivots))
+    for r, pc in zip(rref, pivots):
+        assert r[pc] == 1 and all(r.values())
+        assert not any(other in r for other in pivots if other != pc)
+    fresh = EchelonBasis(field)
+    for r in rref:
+        fresh.insert(r)
+    assert fresh.rank == basis.rank == len(rref)
+    for r in rows:
+        assert fresh.reduce(r) == {}
+
+
+@SETTINGS
+@seed(20090915)
+@given(sparse_systems())
+def test_annihilator_is_orthogonal_complement(system):
+    field, dim, rows = system
+    ann = annihilator_basis(rows, dim, field)
+    for f in ann:
+        assert all(0 <= j < dim for j in f)
+        for r in rows:
+            assert not _dot(f, r, field)
+    assert _rank(ann, field) == len(ann)
+    assert len(ann) + _rank(rows, field) == dim
+
+
+@SETTINGS
+@seed(20090916)
+@given(sparse_systems(dims=st.sampled_from([1, 4, 9])))  # 1 to 3 generators
+def test_double_dual_restores_relations_and_make_checks_range(system):
+    field, dim, rows = system
+    gens = tuple("xyz"[: math.isqrt(dim)])
+    p = QuadraticPresentation.make(gens, rows, field)
+    dual = quadratic_dual(p)
+    assert len(dual.relations) + len(p.relations) == dim
+    assert quadratic_dual(dual).relations == p.relations
+    for bad in (-1, dim):
+        with pytest.raises(ValueError):
+            QuadraticPresentation.make(gens, rows + [{bad: 1}], field)

@@ -90,6 +90,13 @@ def test_subspace_graph_cap():
         subspace_graph(5, 5, cap=100)
 
 
+def test_boolean_graph_cap(monkeypatch):
+    monkeypatch.setenv("SPLITKIT_SIZE_CAP", "8")
+    assert len(boolean_graph(3).vertices) == 8
+    with pytest.raises(SizeLimit):
+        boolean_graph(4)
+
+
 def test_complex_graph_of_full_simplex_is_boolean():
     gx = complex_graph(delta2())
     gb = boolean_graph(3)

@@ -150,6 +150,11 @@ def test_koszulity_prediction_hypothesis_violations():
         predict_koszulity(triangle_plus_edge(), RATIONALS)
 
 
+def test_koszulity_prediction_rejects_empty_complex():
+    with pytest.raises(ValueError, match="at least one facet"):
+        predict_koszulity(SimplicialComplex([]), RATIONALS)
+
+
 def test_discrepancy_rhs_zero_on_koszul_cases():
     g = boolean_graph(3)
     for k in range(4):
