@@ -6,6 +6,9 @@ into linear factors.  Starting from n generic rational matrices, every
 ordering of them produces one factorization whose linear factors are
 conjugates of the roots by Schur-complement quasideterminants of block
 Vandermonde matrices, and all orderings yield the same coefficients.
+The pseudo-root table reaches the same conjugates by the diamond
+recurrence, one small inverse per step; the quasideterminants and block
+Vandermondes shown here are the definition it is tested against.
 """
 
 import itertools

@@ -4,6 +4,7 @@ import os
 
 TENSOR_ENTRY_CAP = 10**7
 VERTEX_CAP = 4096  # vertices of a generated lattice (boolean, subspace)
+ORDERING_CAP = 5040  # root orderings checked by `factor` (n! for n <= 7)
 
 
 def size_cap(default: int) -> int:

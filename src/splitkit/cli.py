@@ -7,11 +7,13 @@ check is still a valid result), 2 = bad input or usage.
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from fractions import Fraction
 
 from . import __version__
+from .caps import ORDERING_CAP, size_cap
 from .dualalg import vertex_algebra_presentation, discrepancy_lhs_table, vertex_hilbert, numerical_koszul_check
 from .errors import (
     DegreeMismatch,
@@ -39,7 +41,7 @@ from .laygraph import (
     validate,
 )
 from .mobius import graded_mobius, hilbert_series, hilbert_series_inverse
-from .ncfactor import RootSystem, check_all_orderings, genericity_check
+from .ncfactor import PseudoRootTable, RootSystem, check_all_orderings, genericity_check
 from .seriespoly import coeffs_as_strings
 from .topo import DISCREPANCY_CONVENTIONS, betti, discrepancy_rhs_table, euler_characteristic, predict_koszulity
 
@@ -257,19 +259,30 @@ def _parse_roots(data) -> RootSystem:
         mats = data["roots"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"bad roots JSON: {exc}") from exc
+    if d < 1:
+        raise ValidationError(f"root size d must be positive, got {d}")
+    if not isinstance(mats, list):
+        raise ValidationError("roots must be a list of matrices")
     matrices = []
     for m in mats:
-        if len(m) != d or any(len(r) != d for r in m):
+        if not isinstance(m, list) or len(m) != d or any(not isinstance(r, list) or len(r) != d for r in m):
             raise ValidationError(f"root matrices must be {d}x{d}")
-        matrices.append(DenseMatrix([[Fraction(str(v)) for v in row] for row in m], RATIONALS))
+        try:
+            matrices.append(DenseMatrix([[Fraction(str(v)) for v in row] for row in m], RATIONALS))
+        except ZeroDivisionError as exc:
+            raise ValidationError("root entry has a zero denominator") from exc
     return RootSystem(tuple(matrices))
 
 
 def _cmd_factor(args, started) -> int:
     data = _load_json(args.roots)
     rs = _parse_roots(data)
+    cap = size_cap(ORDERING_CAP)
+    if math.factorial(rs.n) > cap:
+        raise SizeLimit(f"{math.factorial(rs.n)} orderings exceeds cap {cap}")
     desc = {"source": "roots", "d": rs.d, "n": rs.n, "digest": _digest(data)}
-    generic = genericity_check(rs)
+    table = PseudoRootTable(rs)
+    generic = genericity_check(rs, table)
     payload = {
         "n": rs.n,
         "d": rs.d,
@@ -281,7 +294,7 @@ def _cmd_factor(args, started) -> int:
         payload["pass"] = False
         _emit(args, _report(args, "factor", desc, payload, started))
         return 1
-    chk = check_all_orderings(rs)
+    chk = check_all_orderings(rs, table)
 
     def render(poly):
         return [[[str(v) for v in row] for row in c.entries] for c in poly.coefficients]

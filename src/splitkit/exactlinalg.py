@@ -60,7 +60,7 @@ class FieldSpec:
         if isinstance(value, str):
             value = Fraction(value)
         if self.p is None:
-            return Fraction(value)
+            return value if isinstance(value, Fraction) else Fraction(value)
         if isinstance(value, Fraction):
             den = value.denominator % self.p
             if den == 0:

@@ -6,6 +6,14 @@ into linear factors t - x, where the x are conjugates of the roots by
 quasideterminants of block Vandermonde matrices.  This module builds
 those conjugates, the n! factorizations, and the consistency checks
 between them.
+
+`PseudoRootTable` computes the conjugates by the diamond recurrence,
+which solves the two exchange identities of `check_diamond` for one
+corner: each entry costs a d x d inverse and never forms a block
+Vandermonde.  `block_vandermonde` and the quasideterminants stay as the
+independent definition: tests check the table against them, and
+`genericity_check` falls back on their ranks to name the singular
+configurations of a degenerate system.
 """
 
 import itertools
@@ -106,27 +114,34 @@ def quasideterminant(rs: RootSystem, a, i: int) -> DenseMatrix:
 
 
 class PseudoRootTable:
-    """Cache of (A, i) -> (w, x) with x = w . x_i . w^{-1}."""
+    """Cache of (A, i) -> (w, x) with x = w . x_i . w^{-1}, by the diamond recurrence.
+
+    For A nonempty, with e = max(A), B = A - {e} and D = x(B, i) - x(B, e):
+    w(A, i) = D . w(B, i) and x(A, i) = D . x(B, i) . D^{-1}.  Each entry
+    costs one d x d inverse and three d x d products.
+    """
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
         self._cache: dict = {}
 
     def pair(self, a, i: int) -> tuple:
-        key = (frozenset(a), i)
+        a = frozenset(a)
+        key = (a, i)
         if key not in self._cache:
-            w = quasideterminant(self.rs, key[0], i)
-            if not key[0]:
-                x = self.rs.root(i)
+            if not a:
+                self._cache[key] = (DenseMatrix.identity(self.rs.d, RATIONALS), self.rs.root(i))
             else:
+                b = a - {max(a)}
+                w_b, x_b = self.pair(b, i)
+                diff = x_b - self.pseudo_root(b, max(a))
                 try:
-                    w_inv = w.inverse()
+                    diff_inv = diff.inverse()
                 except SingularMatrix as exc:
                     raise GenericityFailure(
-                        sorted(key[0]) + [i], f"quasideterminant w(A={sorted(key[0])}, i={i}) is singular"
+                        sorted(a) + [i], f"quasideterminant w(A={sorted(a)}, i={i}) is singular"
                     ) from exc
-                x = w * self.rs.root(i) * w_inv
-            self._cache[key] = (w, x)
+                self._cache[key] = (diff * w_b, diff * x_b * diff_inv)
         return self._cache[key]
 
     def pseudo_root(self, a, i: int) -> DenseMatrix:
@@ -152,30 +167,45 @@ class GenericityReport:
         return not self.singular_vandermondes and not self.singular_transforms
 
 
-def genericity_check(rs: RootSystem) -> GenericityReport:
+def genericity_check(rs: RootSystem, table: PseudoRootTable | None = None) -> GenericityReport:
     """Probe every index subset for singular Vandermondes and singular w's.
 
     Failures are returned as data, not raised; an empty report means the
     system is generic and every factorization path is available.
+
+    Filling the pseudo-root table for every (A, i) proves genericity: by
+    the Schur complement det W(A+i) = det W(A) . det w(A, i), and by the
+    recurrence det w(A, i) = det D . det w(A - max(A), i), so every W(S)
+    is invertible exactly when every D met is.  Only when some D is
+    singular are block Vandermondes and quasideterminants formed, to name
+    the culprits.
     """
+    table = table or PseudoRootTable(rs)
+    indices = range(1, rs.n + 1)
+    try:
+        for size in range(rs.n):
+            for a in itertools.combinations(indices, size):
+                for i in indices:
+                    if i not in a:
+                        table.pair(a, i)
+        return GenericityReport((), ())
+    except GenericityFailure:
+        pass
     bad_w = []
     bad_t = []
     singular = set()
     for size in range(2, rs.n + 1):
-        for subset in itertools.combinations(range(1, rs.n + 1), size):
+        for subset in itertools.combinations(indices, size):
             if block_vandermonde(rs, subset).rank() < rs.d * size:
                 bad_w.append(subset)
                 singular.add(subset)
-    table = PseudoRootTable(rs)
     for size in range(2, rs.n + 1):
-        for subset in itertools.combinations(range(1, rs.n + 1), size):
+        for subset in itertools.combinations(indices, size):
             for i in subset:
                 a = tuple(sorted(set(subset) - {i}))
                 if a in singular:
                     continue  # w is not even defined; already reported
-                try:
-                    table.pair(a, i)
-                except GenericityFailure:
+                if quasideterminant(rs, a, i).rank() < rs.d:
                     bad_t.append((a, i))
     return GenericityReport(tuple(bad_w), tuple(bad_t))
 
@@ -218,8 +248,8 @@ def viete_coefficients(rs: RootSystem, ordering, table: PseudoRootTable | None =
     ident = DenseMatrix.identity(d, RATIONALS)
     zero = DenseMatrix.zeros(d, d, RATIONALS)
     sums = [ident] + [zero] * rs.n
-    for y in ys:  # ascending k; y becomes the leftmost factor
-        for m in range(rs.n, 0, -1):
+    for k, y in enumerate(ys, start=1):  # y becomes the leftmost factor
+        for m in range(k, 0, -1):  # sums[m] is still zero for m > k
             sums[m] = sums[m] + y * sums[m - 1]
     coeffs = [sums[m] if m % 2 == 0 else -sums[m] for m in range(1, rs.n + 1)]
     return MatrixPolynomial(tuple(coeffs))
@@ -253,8 +283,8 @@ class OrderingCheck:
     mismatched: tuple  # orderings whose coefficients differ from the first
 
 
-def check_all_orderings(rs: RootSystem) -> OrderingCheck:
-    table = PseudoRootTable(rs)
+def check_all_orderings(rs: RootSystem, table: PseudoRootTable | None = None) -> OrderingCheck:
+    table = table or PseudoRootTable(rs)
     orderings = tuple(itertools.permutations(range(1, rs.n + 1)))
     polys = [viete_coefficients(rs, o, table) for o in orderings]
     mismatched = tuple(o for o, p in zip(orderings, polys) if p != polys[0])

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from splitkit.cli import main
 from splitkit.laygraph import LayeredGraph, SimplicialComplex
 
@@ -122,6 +124,34 @@ def test_factor_reports_genericity_failure(capsys, tmp_path):
     assert code == 1
     rep = json.loads(out)
     assert rep["pass"] is False and rep["singular_vandermondes"] == [[1, 2]]
+
+
+def test_factor_over_ordering_cap_is_usage_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("SPLITKIT_SIZE_CAP", "2")
+    two = _write(tmp_path, "two.json", {"d": 1, "roots": [[["1"]], [["2"]]]})
+    code, out, _ = run(capsys, "factor", str(two))
+    assert code == 0 and json.loads(out)["num_orderings"] == 2
+    three = _write(tmp_path, "three.json", {"d": 1, "roots": [[["1"]], [["2"]], [["3"]]]})
+    code, out, err = run(capsys, "factor", str(three))
+    assert code == 2 and out == ""
+    assert err == "splitkit: 6 orderings exceeds cap 2\n"
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"d": 1, "roots": [5]}, "root matrices must be 1x1"),
+        ({"d": 1, "roots": [[["1/0"]]]}, "root entry has a zero denominator"),
+        ({"d": 0, "roots": [[]]}, "root size d must be positive, got 0"),
+        ({"d": 1, "roots": 5}, "roots must be a list of matrices"),
+        ({"d": 1, "roots": [["1"]]}, "root matrices must be 1x1"),
+    ],
+)
+def test_factor_malformed_roots_are_usage_errors(capsys, tmp_path, data, message):
+    roots = _write(tmp_path, "roots.json", data)
+    code, out, err = run(capsys, "factor", str(roots))
+    assert code == 2 and out == ""
+    assert err == f"splitkit: {message}\n"
 
 
 def test_malformed_json_is_usage_error(capsys, tmp_path):

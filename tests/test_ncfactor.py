@@ -210,7 +210,7 @@ def _left_eval(poly, x):
 
 
 def test_four_roots_all_twenty_four_orderings():
-    # deeper recursion: |A| = 3 uses 8x8 block Vandermonde inverses
+    # deeper recursion: |A| = 3 entries take three steps of the diamond recurrence
     rng = random.Random(77)
     rs = random_generic_roots(4, 2, rng, bound=3)
     chk = check_all_orderings(rs)
