@@ -15,7 +15,6 @@ import itertools
 import random
 
 from splitkit import (
-    PseudoRootTable,
     RootSystem,
     block_vandermonde,
     char_poly,
@@ -42,13 +41,12 @@ print(f"P(t) = t^3 + ({coeffs[0]})t^2 + ({coeffs[1]})t + ({coeffs[2]})   <- clas
 print("== Matrix roots: x1 = [[0,1],[1,0]], x2 = [[1,0],[0,-1]]")
 rs = RootSystem.from_entries([[[0, 1], [1, 0]], [[1, 0], [0, -1]]])
 print("genericity:", "generic" if genericity_check(rs).generic else "degenerate")
-table = PseudoRootTable(rs)
-w, x12 = table.pair({1}, 2)
+w, x12 = rs.table.pair({1}, 2)
 print("w({1},2) =", show(w), " (the quasideterminant: here x2 - x1)")
 print("conjugate root x_{1},2 =", show(x12))
 print("same characteristic polynomial as x2:", char_poly(x12) == char_poly(rs.root(2)))
 for ordering in [(1, 2), (2, 1)]:
-    poly = viete_coefficients(rs, ordering, table)
+    poly = viete_coefficients(rs, ordering)
     print(f"ordering {ordering}: a1 = {show(poly.coefficient(1))}, a2 = {show(poly.coefficient(2))}")
 print()
 
@@ -62,16 +60,15 @@ rs = random_generic_roots(3, 2, rng)
 print("roots:")
 for i in (1, 2, 3):
     print("  ", show(rs.root(i)))
-table = PseudoRootTable(rs)
 chk = check_all_orderings(rs)
 print(f"n! = {len(chk.orderings)} factorizations coefficient-identical: {chk.passed}")
 same = all(
-    expand_factorization(rs, o, table) == viete_coefficients(rs, o, table)
+    expand_factorization(rs, o) == viete_coefficients(rs, o)
     for o in itertools.permutations((1, 2, 3))
 )
 print("expanding the product reproduces the symmetric-function sums:", same)
 diamonds = all(
-    check_diamond(rs, a, i, j, table)
+    check_diamond(rs, a, i, j)
     for a in ((), (1,), (2,), (3,))
     for i, j in itertools.combinations([x for x in (1, 2, 3) if x not in a], 2)
 )

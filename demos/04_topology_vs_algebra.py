@@ -36,9 +36,9 @@ print()
 
 print("== Local homology via links")
 print("link of a vertex of the sphere:", link(sphere, (1,)).facets, "(a circle)")
-print("local homology vanishes on the sphere:", local_homology_vanishes(sphere, RATIONALS, 2))
+print("local homology vanishes on the sphere:", local_homology_vanishes(sphere, RATIONALS))
 wedge = wedge_triangles()
-print("two triangles sharing a vertex:", local_homology_vanishes(wedge, RATIONALS, 2), "(fails at the wedge point)")
+print("two triangles sharing a vertex:", local_homology_vanishes(wedge, RATIONALS), "(fails at the wedge point)")
 print()
 
 print("== The homological Koszulity prediction")

@@ -72,7 +72,6 @@ from .ncfactor import (
     check_diamond,
     expand_factorization,
     genericity_check,
-    pseudo_root,
     quasideterminant,
     random_generic_roots,
     viete_coefficients,

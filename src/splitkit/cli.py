@@ -31,6 +31,7 @@ from .exactlinalg import RATIONALS, DenseMatrix, parse_field
 from .laygraph import (
     LayeredGraph,
     SimplicialComplex,
+    _json_int,
     boolean_graph,
     complex_graph,
     hat,
@@ -41,7 +42,7 @@ from .laygraph import (
     validate,
 )
 from .mobius import graded_mobius, hilbert_series, hilbert_series_inverse
-from .ncfactor import PseudoRootTable, RootSystem, check_all_orderings, genericity_check
+from .ncfactor import RootSystem, check_all_orderings, genericity_check
 from .seriespoly import coeffs_as_strings
 from .topo import DISCREPANCY_CONVENTIONS, betti, discrepancy_rhs_table, euler_characteristic, predict_koszulity
 
@@ -65,6 +66,8 @@ def _load_json(path: str):
             return json.load(fh)
     except FileNotFoundError as exc:
         raise ValidationError(f"no such file: {path}") from exc
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON in {path} (line {exc.lineno}, column {exc.colno})") from exc
 
@@ -137,8 +140,11 @@ def _cmd_graph(args, started) -> int:
             "codim1_connected": is_codim1_connected(x),
         }
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(g.to_json_dict(), fh, sort_keys=True, ensure_ascii=False, indent=2)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                json.dump(g.to_json_dict(), fh, sort_keys=True, ensure_ascii=False, indent=2)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {args.out}: {exc.strerror}") from exc
         payload["written"] = args.out
     _emit(args, _report(args, "graph", desc, payload, started))
     return 0 if rep.ok else 1
@@ -146,11 +152,7 @@ def _cmd_graph(args, started) -> int:
 
 def _cmd_mobius(args, started) -> int:
     g, _, desc = _build_graph(args)
-    m = graded_mobius(g, strict=args.mobius_strict)
-    payload = {
-        "graded_mobius": coeffs_as_strings(m),
-        "strict_diagonal_dropped": args.mobius_strict,
-    }
+    payload = {"graded_mobius": coeffs_as_strings(graded_mobius(g))}
     _emit(args, _report(args, "mobius", desc, payload, started))
     return 0
 
@@ -158,8 +160,8 @@ def _cmd_mobius(args, started) -> int:
 def _cmd_hilbert(args, started) -> int:
     g, _, desc = _build_graph(args)
     truncation = args.degree if args.degree is not None else 2 * g.height
-    series = hilbert_series(g, truncation, strict=args.mobius_strict)
-    inv = hilbert_series_inverse(g, strict=args.mobius_strict, check_degree=False)
+    series = hilbert_series(g, truncation)
+    inv = hilbert_series_inverse(g, check_degree=False)
     payload = {
         "truncation": truncation,
         "series": coeffs_as_strings(series),
@@ -255,7 +257,7 @@ def _cmd_topology(args, started) -> int:
 
 def _parse_roots(data) -> RootSystem:
     try:
-        d = int(data["d"])
+        d = _json_int(data["d"], "root size d")
         mats = data["roots"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"bad roots JSON: {exc}") from exc
@@ -281,8 +283,7 @@ def _cmd_factor(args, started) -> int:
     if math.factorial(rs.n) > cap:
         raise SizeLimit(f"{math.factorial(rs.n)} orderings exceeds cap {cap}")
     desc = {"source": "roots", "d": rs.d, "n": rs.n, "digest": _digest(data)}
-    table = PseudoRootTable(rs)
-    generic = genericity_check(rs, table)
+    generic = genericity_check(rs)
     payload = {
         "n": rs.n,
         "d": rs.d,
@@ -294,7 +295,7 @@ def _cmd_factor(args, started) -> int:
         payload["pass"] = False
         _emit(args, _report(args, "factor", desc, payload, started))
         return 1
-    chk = check_all_orderings(rs, table)
+    chk = check_all_orderings(rs)
 
     def render(poly):
         return [[[str(v) for v in row] for row in c.entries] for c in poly.coefficients]
@@ -316,9 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     def common(p):
-        out = p.add_mutually_exclusive_group()
-        out.add_argument("--json", action="store_true", help="compact JSON output (default)")
-        out.add_argument("--pretty", action="store_true", help="indented JSON output")
+        p.add_argument("--pretty", action="store_true", help="indented JSON output (default: compact)")
         p.add_argument("--timings", action="store_true", help="include wall-clock timings in the report")
 
     p = sub.add_parser("graph", help="build/validate a layered graph; report uniformity and purity")
@@ -329,14 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mobius", help="graded Möbius polynomial of the graph poset")
     _add_graph_source(p)
-    p.add_argument("--mobius-strict", action="store_true", help="drop the diagonal from the graded Möbius sum")
     common(p)
     p.set_defaults(run=_cmd_mobius)
 
     p = sub.add_parser("hilbert", help="Hilbert series of the edge algebra and its inverse polynomial")
     _add_graph_source(p)
     p.add_argument("-D", "--degree", type=int, help="truncation degree (default: 2 x height)")
-    p.add_argument("--mobius-strict", action="store_true", help="drop the diagonal from the graded Möbius sum")
     common(p)
     p.set_defaults(run=_cmd_hilbert)
 
@@ -393,10 +390,7 @@ def main(argv=None) -> int:
             )
         )
         return 1
-    except (ValidationError, SizeLimit, ValueError) as exc:
-        print(f"splitkit: {exc}", file=sys.stderr)
-        return 2
-    except SplitkitError as exc:  # residual library errors are input-level
+    except (SplitkitError, ValueError) as exc:  # bad input, including files that cannot be read or written
         print(f"splitkit: {exc}", file=sys.stderr)
         return 2
 

@@ -140,7 +140,7 @@ def _graph_graded_dims(g: LayeredGraph, field: FieldSpec, maxdeg: int) -> list:
     return dims
 
 
-def graded_dims(p: QuadraticPresentation, maxdeg: int, cap: int | None = None) -> list:
+def graded_dims(p: QuadraticPresentation, maxdeg: int) -> list:
     """dims[k] = dim of degree k of the quadratic algebra, k = 0..maxdeg.
 
     Graph presentations run on the path basis.  Generic presentations
@@ -149,7 +149,7 @@ def graded_dims(p: QuadraticPresentation, maxdeg: int, cap: int | None = None) -
     """
     if isinstance(p, GraphPresentation) and p.graph is not None:
         return _graph_graded_dims(p.graph, p.field, maxdeg)
-    cap = size_cap(TENSOR_ENTRY_CAP) if cap is None else cap
+    cap = size_cap(TENSOR_ENTRY_CAP)
     m = p.num_generators
     field = p.field
     dims = [1]

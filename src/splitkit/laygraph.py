@@ -7,6 +7,7 @@ and the one-vertex-on-top completion of a graph.
 """
 
 import itertools
+import json
 from dataclasses import dataclass
 
 from .caps import VERTEX_CAP, size_cap
@@ -16,6 +17,13 @@ from .exactlinalg import EchelonBasis, FieldSpec
 MIN_ID = "∅"
 STAR_ID = "*"
 TOP_ID = "M"
+
+
+def _json_int(value, what: str) -> int:
+    """A JSON integer read from an input file; floats, bools and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{what} must be an integer, got {json.dumps(value)}")
+    return value
 
 
 def set_id(vertices) -> str:
@@ -123,7 +131,7 @@ class LayeredGraph:
     @classmethod
     def from_json_dict(cls, data: dict) -> "LayeredGraph":
         try:
-            vertices = [(item["id"], item["level"]) for item in data["vertices"]]
+            vertices = [(item["id"], _json_int(item["level"], "vertex level")) for item in data["vertices"]]
             edges = [tuple(e) for e in data["edges"]]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"bad layered-graph JSON: {exc}") from exc
@@ -190,7 +198,7 @@ def _gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
-def subspace_graph(n: int, q: int, cap: int | None = None) -> LayeredGraph:
+def subspace_graph(n: int, q: int) -> LayeredGraph:
     """Lattice of subspaces of GF(q)^n: level = dimension, edges = codim-1.
 
     Subspace ids are the rows of the reduced row echelon basis, e.g.
@@ -201,7 +209,7 @@ def subspace_graph(n: int, q: int, cap: int | None = None) -> LayeredGraph:
     if q >= 10:
         raise ValueError("subspace ids use single-digit entries; q must be < 10")
     field = FieldSpec(q)
-    cap = size_cap(VERTEX_CAP) if cap is None else cap
+    cap = size_cap(VERTEX_CAP)
     total = sum(_gaussian_binomial(n, k, q) for k in range(n + 1))
     if total > cap:
         raise SizeLimit(f"{total} subspaces exceeds cap {cap}")
@@ -314,9 +322,10 @@ class SimplicialComplex:
     @classmethod
     def from_json_dict(cls, data: dict) -> "SimplicialComplex":
         try:
-            return cls(data["facets"])
+            facets = [[_json_int(v, "facet vertex") for v in f] for f in data["facets"]]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"bad simplicial-complex JSON: {exc}") from exc
+        return cls(facets)
 
     def __repr__(self):
         return f"SimplicialComplex({len(self.facets)} facets, dim {self.dim})"
@@ -414,13 +423,9 @@ def is_uniform(g: LayeredGraph) -> bool:
     return True
 
 
-def is_pure(x: SimplicialComplex, n: int | None = None) -> bool:
-    """True when every facet has dimension n (default: dim of the complex)."""
-    if x.is_empty():
-        return False
-    if n is None:
-        n = x.dim
-    return all(len(f) == n + 1 for f in x.facets)
+def is_pure(x: SimplicialComplex) -> bool:
+    """True when every facet has the dimension of the complex."""
+    return not x.is_empty() and all(len(f) == x.dim + 1 for f in x.facets)
 
 
 def _codim1_reached(x: SimplicialComplex) -> set:

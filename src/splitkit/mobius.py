@@ -1,9 +1,8 @@
 """Möbius functions of layered-graph posets and the Hilbert series they control.
 
 The partial order is path-reachability.  The graded Möbius polynomial
-includes the diagonal pairs (constant term = number of vertices); the
-strict variant without the diagonal is kept available for comparison,
-but it breaks the closed-form oracle already at height 1.
+includes the diagonal pairs (constant term = number of vertices): the
+sum without them contradicts the closed-form oracle already at height 1.
 """
 
 from .errors import DegreeMismatch, NegativeDimension, NonzeroRemainder
@@ -63,27 +62,25 @@ def mobius_value_chain(g: LayeredGraph, v: str, w: str) -> int:
     return signed[v]
 
 
-def graded_mobius(g: LayeredGraph, strict: bool = False) -> IntPolynomial:
+def graded_mobius(g: LayeredGraph) -> IntPolynomial:
     """Graded Möbius polynomial: sum of mu(v,w) * tau^(|v|-|w|) over pairs w <= v.
 
-    The diagonal is included, so the constant term is |V|.  With
-    strict=True the diagonal is dropped (experimentation only).
+    The diagonal is included, so the constant term is |V|; without it
+    the Hilbert series of the subset lattice on one element already
+    disagrees with its closed form.
     """
     table = _mu_table(g)
     coeffs = [0] * (g.height + 1)
     for (v, w), mu in table.items():
-        if strict and v == w:
-            continue
         coeffs[g.level(v) - g.level(w)] += mu
     return IntPolynomial(coeffs)
 
 
-def _one_minus_tau_m(g: LayeredGraph, strict: bool) -> IntPolynomial:
-    m = graded_mobius(g, strict=strict)
-    return IntPolynomial([1]) - m.shift(1)
+def _one_minus_tau_m(g: LayeredGraph) -> IntPolynomial:
+    return IntPolynomial([1]) - graded_mobius(g).shift(1)
 
 
-def hilbert_series(g: LayeredGraph, truncation: int | None = None, strict: bool = False) -> TruncatedSeries:
+def hilbert_series(g: LayeredGraph, truncation: int | None = None) -> TruncatedSeries:
     """Hilbert series of the graph's edge algebra, to a truncation degree.
 
     Computed as (1 - tau) / (1 - tau * M(tau)).  Coefficients are graded
@@ -91,7 +88,7 @@ def hilbert_series(g: LayeredGraph, truncation: int | None = None, strict: bool 
     """
     require_valid(g)
     d = 2 * g.height if truncation is None else truncation
-    denom = _one_minus_tau_m(g, strict).to_series(d)
+    denom = _one_minus_tau_m(g).to_series(d)
     series = series_mul(IntPolynomial([1, -1]).to_series(d), series_inverse(denom))
     for k, c in enumerate(series.coeffs):
         if c < 0:
@@ -114,7 +111,7 @@ def subset_lattice_series(n: int, truncation: int) -> TruncatedSeries:
     return series
 
 
-def hilbert_series_inverse(g: LayeredGraph, strict: bool = False, check_degree: bool = True) -> IntPolynomial:
+def hilbert_series_inverse(g: LayeredGraph, check_degree: bool = True) -> IntPolynomial:
     """The inverse Hilbert series (1 - tau*M) / (1 - tau), as an exact polynomial.
 
     Raises NonzeroRemainder if the division is inexact, and (with
@@ -127,7 +124,7 @@ def hilbert_series_inverse(g: LayeredGraph, strict: bool = False, check_degree: 
     numerics) pass check_degree=False.
     """
     require_valid(g)
-    num = _one_minus_tau_m(g, strict)
+    num = _one_minus_tau_m(g)
     quotient, remainder = poly_divide(num, IntPolynomial([1, -1]))
     if not remainder.is_zero():
         raise NonzeroRemainder(f"remainder {remainder!r} dividing {num!r} by (1 - tau)")

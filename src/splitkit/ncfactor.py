@@ -18,9 +18,12 @@ configurations of a degenerate system.
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import GenericityFailure, SingularMatrix
 from .exactlinalg import RATIONALS, DenseMatrix
+
+GENERIC_TRIES = 200  # random draws random_generic_roots makes before giving up
 
 
 @dataclass(frozen=True)
@@ -52,6 +55,11 @@ class RootSystem:
     def root(self, i: int) -> DenseMatrix:
         """Root x_i, 1-indexed."""
         return self.roots[i - 1]
+
+    @cached_property
+    def table(self) -> "PseudoRootTable":
+        """The one pseudo-root table of this system, filled on demand."""
+        return PseudoRootTable(self)
 
     @classmethod
     def from_scalars(cls, values) -> "RootSystem":
@@ -116,6 +124,7 @@ def quasideterminant(rs: RootSystem, a, i: int) -> DenseMatrix:
 class PseudoRootTable:
     """Cache of (A, i) -> (w, x) with x = w . x_i . w^{-1}, by the diamond recurrence.
 
+    Each RootSystem holds one, `rs.table`; this module reads pseudo-roots only from it.
     For A nonempty, with e = max(A), B = A - {e} and D = x(B, i) - x(B, e):
     w(A, i) = D . w(B, i) and x(A, i) = D . x(B, i) . D^{-1}.  Each entry
     costs one d x d inverse and three d x d products.
@@ -151,10 +160,6 @@ class PseudoRootTable:
         return dict(self._cache)
 
 
-def pseudo_root(rs: RootSystem, a, i: int) -> DenseMatrix:
-    return PseudoRootTable(rs).pseudo_root(a, i)
-
-
 @dataclass(frozen=True)
 class GenericityReport:
     """Singular configurations found while probing a root system."""
@@ -167,7 +172,7 @@ class GenericityReport:
         return not self.singular_vandermondes and not self.singular_transforms
 
 
-def genericity_check(rs: RootSystem, table: PseudoRootTable | None = None) -> GenericityReport:
+def genericity_check(rs: RootSystem) -> GenericityReport:
     """Probe every index subset for singular Vandermondes and singular w's.
 
     Failures are returned as data, not raised; an empty report means the
@@ -180,14 +185,13 @@ def genericity_check(rs: RootSystem, table: PseudoRootTable | None = None) -> Ge
     singular are block Vandermondes and quasideterminants formed, to name
     the culprits.
     """
-    table = table or PseudoRootTable(rs)
     indices = range(1, rs.n + 1)
     try:
         for size in range(rs.n):
             for a in itertools.combinations(indices, size):
                 for i in indices:
                     if i not in a:
-                        table.pair(a, i)
+                        rs.table.pair(a, i)
         return GenericityReport((), ())
     except GenericityFailure:
         pass
@@ -225,25 +229,21 @@ class MatrixPolynomial:
         return self.coefficients[k - 1]
 
 
-def _ordering_pseudo_roots(rs: RootSystem, ordering, table: PseudoRootTable | None):
+def _ordering_pseudo_roots(rs: RootSystem, ordering):
     ordering = list(ordering)
     if sorted(ordering) != list(range(1, rs.n + 1)):
         raise ValueError(f"ordering must be a permutation of 1..{rs.n}")
-    table = table or PseudoRootTable(rs)
-    ys = []
-    for k, i in enumerate(ordering):
-        ys.append(table.pseudo_root(ordering[:k], i))
-    return ys
+    return [rs.table.pseudo_root(ordering[:k], i) for k, i in enumerate(ordering)]
 
 
-def viete_coefficients(rs: RootSystem, ordering, table: PseudoRootTable | None = None) -> MatrixPolynomial:
+def viete_coefficients(rs: RootSystem, ordering) -> MatrixPolynomial:
     """Coefficients from the symmetric-function sums over one ordering.
 
     a_m = (-1)^m * sum over k_1 > ... > k_m of y_{k_1} ... y_{k_m}, where
     y_k is the k-th pseudo-root along the ordering and factors keep the
     descending order.
     """
-    ys = _ordering_pseudo_roots(rs, ordering, table)
+    ys = _ordering_pseudo_roots(rs, ordering)
     d = rs.d
     ident = DenseMatrix.identity(d, RATIONALS)
     zero = DenseMatrix.zeros(d, d, RATIONALS)
@@ -255,13 +255,13 @@ def viete_coefficients(rs: RootSystem, ordering, table: PseudoRootTable | None =
     return MatrixPolynomial(tuple(coeffs))
 
 
-def expand_factorization(rs: RootSystem, ordering, table: PseudoRootTable | None = None) -> MatrixPolynomial:
+def expand_factorization(rs: RootSystem, ordering) -> MatrixPolynomial:
     """Expand the product (t - y_n)(t - y_{n-1}) ... (t - y_1) along an ordering.
 
     Independent of viete_coefficients (which never forms the product);
     the two must agree entrywise on generic input.
     """
-    ys = _ordering_pseudo_roots(rs, ordering, table)
+    ys = _ordering_pseudo_roots(rs, ordering)
     coeffs = [DenseMatrix.identity(rs.d, RATIONALS)]
     for y in ys:  # multiply by (t - y) on the left
         nxt = [coeffs[0]]
@@ -283,15 +283,14 @@ class OrderingCheck:
     mismatched: tuple  # orderings whose coefficients differ from the first
 
 
-def check_all_orderings(rs: RootSystem, table: PseudoRootTable | None = None) -> OrderingCheck:
-    table = table or PseudoRootTable(rs)
+def check_all_orderings(rs: RootSystem) -> OrderingCheck:
     orderings = tuple(itertools.permutations(range(1, rs.n + 1)))
-    polys = [viete_coefficients(rs, o, table) for o in orderings]
+    polys = [viete_coefficients(rs, o) for o in orderings]
     mismatched = tuple(o for o, p in zip(orderings, polys) if p != polys[0])
     return OrderingCheck(not mismatched, polys[0] if not mismatched else None, orderings, mismatched)
 
 
-def check_diamond(rs: RootSystem, a, i: int, j: int, table: PseudoRootTable | None = None) -> bool:
+def check_diamond(rs: RootSystem, a, i: int, j: int) -> bool:
     """Exact check of the two local exchange identities on a diamond.
 
     Linear:    x_{A+i, j} + x_{A, i} = x_{A+j, i} + x_{A, j}
@@ -300,7 +299,7 @@ def check_diamond(rs: RootSystem, a, i: int, j: int, table: PseudoRootTable | No
     a = frozenset(a)
     if i == j or i in a or j in a:
         raise ValueError("need distinct i, j outside A")
-    table = table or PseudoRootTable(rs)
+    table = rs.table
     xi = table.pseudo_root(a, i)
     xj = table.pseudo_root(a, j)
     xij = table.pseudo_root(a | {i}, j)
@@ -308,12 +307,12 @@ def check_diamond(rs: RootSystem, a, i: int, j: int, table: PseudoRootTable | No
     return (xij + xi == xji + xj) and (xij * xi == xji * xj)
 
 
-def random_generic_roots(n: int, d: int, rng, bound: int = 4, max_tries: int = 200) -> RootSystem:
+def random_generic_roots(n: int, d: int, rng, bound: int = 4) -> RootSystem:
     """Random small-integer root matrices, retried until fully generic."""
-    for _ in range(max_tries):
+    for _ in range(GENERIC_TRIES):
         rs = RootSystem.from_entries(
             [[[rng.randint(-bound, bound) for _ in range(d)] for _ in range(d)] for _ in range(n)]
         )
         if genericity_check(rs).generic:
             return rs
-    raise GenericityFailure(range(1, n + 1), f"no generic system found in {max_tries} tries")
+    raise GenericityFailure(range(1, n + 1), f"no generic system found in {GENERIC_TRIES} tries")

@@ -138,15 +138,14 @@ def link(x: SimplicialComplex, simplex) -> SimplicialComplex:
     return SimplicialComplex([f for f in facets if f])
 
 
-def local_homology_vanishes(x: SimplicialComplex, field: FieldSpec, n: int | None = None) -> bool:
-    """Local homology vanishing below degree n at every point.
+def local_homology_vanishes(x: SimplicialComplex, field: FieldSpec) -> bool:
+    """Local homology vanishing below degree n = dim X at every point.
 
     At a point in the open cell of a k-face, local homology in degree i
     is the reduced link homology in degree i-k-1; local homology is
     constant on open cells, so one check per face covers every point.
     """
-    if n is None:
-        n = x.dim
+    n = x.dim
     for face in sorted(x.all_faces(), key=lambda f: (len(f), tuple(sorted(f)))):
         k = len(face) - 1
         top_j = n - k - 2  # highest reduced link degree that must vanish
@@ -183,7 +182,7 @@ def predict_koszulity(x: SimplicialComplex, field: FieldSpec) -> KoszulityPredic
     if x.is_empty():
         raise ValueError("complex must have at least one facet")
     n = x.dim
-    if not is_pure(x, n):
+    if not is_pure(x):
         short = next(f for f in x.facets if len(f) != n + 1)
         raise HypothesisViolation(f"complex is not pure: facet {list(short)} has dimension {len(short) - 1} < {n}")
     reached = _codim1_reached(x)
@@ -195,7 +194,7 @@ def predict_koszulity(x: SimplicialComplex, field: FieldSpec) -> KoszulityPredic
         )
     bv = betti(x, field, reduced=True)
     low = all(bv[i] == 0 for i in range(n))
-    local = local_homology_vanishes(x, field, n)
+    local = local_homology_vanishes(x, field)
     return KoszulityPrediction(low and local, low, local, n, field)
 
 

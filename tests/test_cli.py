@@ -1,8 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from splitkit.cli import main
+from splitkit.cli import build_parser, main
 from splitkit.laygraph import LayeredGraph, SimplicialComplex
 
 
@@ -145,6 +146,8 @@ def test_factor_over_ordering_cap_is_usage_error(capsys, tmp_path, monkeypatch):
         ({"d": 0, "roots": [[]]}, "root size d must be positive, got 0"),
         ({"d": 1, "roots": 5}, "roots must be a list of matrices"),
         ({"d": 1, "roots": [["1"]]}, "root matrices must be 1x1"),
+        ({"d": 1.7, "roots": [[["3"]]]}, "root size d must be an integer, got 1.7"),
+        ({"d": True, "roots": [[["3"]]]}, "root size d must be an integer, got true"),
     ],
 )
 def test_factor_malformed_roots_are_usage_errors(capsys, tmp_path, data, message):
@@ -182,10 +185,50 @@ def test_missing_file_is_usage_error(capsys):
     assert code == 2 and "no such file" in err
 
 
-def test_strict_mobius_surfaces_as_math_failure(capsys):
-    code, out, _ = run(capsys, "hilbert", "--boolean", "1", "--mobius-strict")
-    assert code == 1
-    assert json.loads(out)["error"] in ("NegativeDimension", "NonzeroRemainder")
+@pytest.mark.parametrize(
+    "command, data, message",
+    [
+        (("topology", "--field", "q", "--complex"), {"facets": [[1.7, 2]]}, "facet vertex must be an integer, got 1.7"),
+        (("graph", "--complex"), {"facets": [[True, 2]]}, "facet vertex must be an integer, got true"),
+        (
+            ("graph", "--graph"),
+            {"vertices": [{"id": "m", "level": 0}, {"id": "a", "level": 1.9}], "edges": [["a", "m"]]},
+            "vertex level must be an integer, got 1.9",
+        ),
+    ],
+)
+def test_non_integer_json_inputs_are_usage_errors(capsys, tmp_path, command, data, message):
+    path = _write(tmp_path, "input.json", data)
+    code, out, err = run(capsys, *command, str(path))
+    assert code == 2 and out == ""
+    assert err == f"splitkit: {message}\n"
+
+
+def test_file_os_errors_are_usage_errors(capsys, tmp_path):
+    for argv in (
+        ("topology", "--complex", str(tmp_path), "--field", "q"),
+        ("factor", str(tmp_path)),
+        ("graph", "--boolean", "2", "--out", str(tmp_path / "missing" / "x.json")),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("splitkit: ") and str(tmp_path) in err
+
+
+def test_benchmark_requests_parse(tmp_path, monkeypatch):
+    # every argv the perfbench workloads send must parse, so removing a flag
+    # they use fails here and not only in the benchmark
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.chdir(root)
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    import workloads
+
+    parser = build_parser()
+    for workload in workloads.WORKLOADS.values():
+        requests = workload.build(tmp_path, 1)
+        assert requests
+        for req in requests:
+            parser.parse_args(list(req.argv))
 
 
 def test_pretty_flag_changes_layout_not_content(capsys):

@@ -87,10 +87,13 @@ def test_graded_dims_free_and_truncated_closed_forms():
     assert graded_dims(full, 4) == [1, 2, 0, 0, 0]
 
 
-def test_graded_dims_cap():
-    free = QuadraticPresentation.make(tuple("abcdefgh"), [{}], RATIONALS)
+def test_graded_dims_cap(monkeypatch):
+    # free on two generators: degree k builds a 2^k-column ambient with no relation rows
+    monkeypatch.setenv("SPLITKIT_SIZE_CAP", "10")
+    free = QuadraticPresentation.make(("x", "y"), [], RATIONALS)
+    assert graded_dims(free, 3) == [1, 2, 4, 8]
     with pytest.raises(SizeLimit):
-        graded_dims(free, 9, cap=10**4)
+        graded_dims(free, 4)
 
 
 def test_quadratic_dual_extremes():

@@ -85,9 +85,11 @@ def test_subspace_graph_small_cases():
     assert len(g.edges) == 35  # 7 lines over 0 + 21 line-in-plane + 7 planes under F
 
 
-def test_subspace_graph_cap():
+def test_subspace_graph_cap(monkeypatch):
+    monkeypatch.setenv("SPLITKIT_SIZE_CAP", "5")
+    assert len(subspace_graph(2, 2).vertices) == 5
     with pytest.raises(SizeLimit):
-        subspace_graph(5, 5, cap=100)
+        subspace_graph(2, 3)
 
 
 def test_boolean_graph_cap(monkeypatch):
@@ -190,12 +192,12 @@ def test_single_path_graph_is_uniform():
 
 
 def test_purity_and_codim1_connectivity():
-    assert is_pure(boundary_delta3(), 2)
+    assert is_pure(boundary_delta3())
     assert is_codim1_connected(boundary_delta3())
-    assert is_pure(wedge_triangles(), 2)
+    assert is_pure(wedge_triangles())
     assert not is_codim1_connected(wedge_triangles())
     assert not is_pure(triangle_plus_edge())
-    assert is_pure(delta2(), 2) and is_codim1_connected(delta2())
+    assert is_pure(delta2()) and is_codim1_connected(delta2())
 
 
 def test_simplicial_complex_canonicalization():

@@ -1,6 +1,6 @@
 import pytest
 
-from splitkit.errors import DegreeMismatch, NegativeDimension, NonzeroRemainder
+from splitkit.errors import DegreeMismatch
 from splitkit.fixtures import boundary_delta3, delta2, full_graph_corpus, rp2_six, single_edge_graph
 from splitkit.laygraph import boolean_graph, complex_graph, hat
 from splitkit.mobius import (
@@ -11,7 +11,7 @@ from splitkit.mobius import (
     mobius_value_chain,
     subset_lattice_series,
 )
-from splitkit.seriespoly import IntPolynomial, series_mul
+from splitkit.seriespoly import IntPolynomial, poly_divide, series_inverse, series_mul
 
 
 def test_mobius_point_values():
@@ -115,10 +115,14 @@ def test_inverse_degree_equals_height_except_hatted_euler_trivial():
 def test_strict_mobius_breaks_the_oracle():
     # dropping the diagonal contradicts the closed form already at n = 1
     g = boolean_graph(1)
-    with pytest.raises(NegativeDimension):
-        hilbert_series(g, 3, strict=True)
-    with pytest.raises(NonzeroRemainder):
-        hilbert_series_inverse(g, strict=True)
+    strict = graded_mobius(g) - IntPolynomial([len(g.vertices)])
+    assert strict == IntPolynomial([0, -1])
+    denom = IntPolynomial([1]) - strict.shift(1)
+    series = series_mul(IntPolynomial([1, -1]).to_series(3), series_inverse(denom.to_series(3)))
+    assert list(series.coeffs) == [1, -1, -1, 1]  # a negative graded dimension
+    assert series != subset_lattice_series(1, 3) == hilbert_series(g, 3)
+    _, remainder = poly_divide(denom, IntPolynomial([1, -1]))
+    assert not remainder.is_zero()  # no inverse Hilbert polynomial either
 
 
 def test_hat_of_boundary_tetrahedron_matches_boolean_4():

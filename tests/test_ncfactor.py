@@ -7,14 +7,12 @@ import pytest
 from splitkit.errors import GenericityFailure
 from splitkit.exactlinalg import RATIONALS, DenseMatrix, char_poly
 from splitkit.ncfactor import (
-    PseudoRootTable,
     RootSystem,
     block_vandermonde,
     check_all_orderings,
     check_diamond,
     expand_factorization,
     genericity_check,
-    pseudo_root,
     quasideterminant,
     quasideterminant_ordered,
     random_generic_roots,
@@ -74,14 +72,14 @@ def test_quasideterminant_reports_genericity_failure():
 
 def test_pseudo_root_base_cases():
     rs = scalars(4, 9)
-    assert pseudo_root(rs, set(), 2).to_lists() == [[9]]
+    assert rs.table.pseudo_root(set(), 2).to_lists() == [[9]]
     # commuting scalars: conjugation is trivial
-    assert pseudo_root(rs, {1}, 2).to_lists() == [[9]]
+    assert rs.table.pseudo_root({1}, 2).to_lists() == [[9]]
 
 
 def test_pseudo_root_conjugation_2x2():
     rs = RootSystem.from_entries([[[0, 1], [1, 0]], [[1, 0], [0, -1]]])
-    x = pseudo_root(rs, {1}, 2)
+    x = rs.table.pseudo_root({1}, 2)
     assert x.trace() == rs.root(2).trace() == 0
     w = quasideterminant(rs, {1}, 2)
     assert x * w == w * rs.root(2)  # x w = w x_2, i.e. x = w x_2 w^-1
@@ -132,9 +130,8 @@ def test_all_orderings_scalar_cases():
 def test_scalar_multiple_of_identity_degenerates_to_commutative_viete():
     ident = [[1, 0], [0, 1]]
     rs = RootSystem.from_entries([[[c * e for e in row] for row in ident] for c in (1, 2, 3)])
-    table = PseudoRootTable(rs)
     for a, i in [((), 1), ((1,), 2), ((1, 2), 3), ((3,), 2)]:
-        assert table.pseudo_root(a, i) == rs.root(i)
+        assert rs.table.pseudo_root(a, i) == rs.root(i)
     chk = check_all_orderings(rs)
     assert chk.passed
     e1, e2, e3 = 6, 11, 6
@@ -158,34 +155,31 @@ def test_random_generic_matrix_systems():
         rs = random_generic_roots(3, 2, rng)
         chk = check_all_orderings(rs)
         assert chk.passed
-        table = PseudoRootTable(rs)
         for ordering in itertools.permutations((1, 2, 3)):
-            assert expand_factorization(rs, ordering, table) == viete_coefficients(rs, ordering, table)
+            assert expand_factorization(rs, ordering) == viete_coefficients(rs, ordering)
         for a in ([], [1], [2], [3]):
             rest = [i for i in (1, 2, 3) if i not in a]
             for i, j in itertools.combinations(rest, 2):
-                assert check_diamond(rs, a, i, j, table)
+                assert check_diamond(rs, a, i, j)
 
 
 def test_pseudo_roots_preserve_characteristic_polynomial():
     rng = random.Random(14)
     rs = random_generic_roots(3, 2, rng)
-    table = PseudoRootTable(rs)
     for size in range(3):
         for a in itertools.combinations((1, 2, 3), size):
             for i in (1, 2, 3):
                 if i in a:
                     continue
-                assert char_poly(table.pseudo_root(a, i)) == char_poly(rs.root(i))
+                assert char_poly(rs.table.pseudo_root(a, i)) == char_poly(rs.root(i))
 
 
 def test_table_entries_satisfy_conjugation_invariant():
     rng = random.Random(15)
     rs = random_generic_roots(2, 2, rng)
-    table = PseudoRootTable(rs)
-    table.pseudo_root((1,), 2)
-    table.pseudo_root((2,), 1)
-    for (a, i), (w, x) in table.entries().items():
+    rs.table.pseudo_root((1,), 2)
+    rs.table.pseudo_root((2,), 1)
+    for (a, i), (w, x) in rs.table.entries().items():
         assert x * w == w * rs.root(i)
 
 
@@ -215,10 +209,9 @@ def test_four_roots_all_twenty_four_orderings():
     rs = random_generic_roots(4, 2, rng, bound=3)
     chk = check_all_orderings(rs)
     assert chk.passed and len(chk.orderings) == 24
-    table = PseudoRootTable(rs)
     for ordering in itertools.permutations((1, 2, 3, 4)):
-        assert expand_factorization(rs, ordering, table) == viete_coefficients(rs, ordering, table)
-    for (a, i), (_, x) in table.entries().items():
+        assert expand_factorization(rs, ordering) == viete_coefficients(rs, ordering)
+    for (a, i), (_, x) in rs.table.entries().items():
         assert char_poly(x) == char_poly(rs.root(i))
 
 
@@ -228,8 +221,7 @@ def test_factorization_endpoints_are_actual_roots():
     # corresponding one-sided evaluations vanish identically
     rng = random.Random(31)
     rs = random_generic_roots(3, 2, rng)
-    table = PseudoRootTable(rs)
     for ordering in itertools.permutations((1, 2, 3)):
-        poly = viete_coefficients(rs, ordering, table)
+        poly = viete_coefficients(rs, ordering)
         assert _right_eval(poly, rs.root(ordering[0])).is_zero()
-        assert _left_eval(poly, table.pseudo_root(ordering[:-1], ordering[-1])).is_zero()
+        assert _left_eval(poly, rs.table.pseudo_root(ordering[:-1], ordering[-1])).is_zero()

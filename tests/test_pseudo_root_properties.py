@@ -3,7 +3,9 @@
 `PseudoRootTable` fills (A, i) -> (w, x) by the diamond recurrence.  The
 oracles here never use it: w comes from `quasideterminant` (the Schur
 complement of a block Vandermonde), x from conjugating x_i by that w,
-and genericity from the ranks of every block Vandermonde.
+and genericity from the ranks of every block Vandermonde.  To check the
+diamonds on those oracle values, a system's table is filled with them
+before the recurrence can run.
 """
 
 import itertools
@@ -12,7 +14,6 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from splitkit.ncfactor import (
-    PseudoRootTable,
     RootSystem,
     block_vandermonde,
     check_diamond,
@@ -49,15 +50,11 @@ def _pairs(n: int):
                     yield a, i
 
 
-class _QuasideterminantTable:
-    """Pseudo-roots x(A, i) = w . x_i . w^{-1} with w the quasideterminant."""
-
-    def __init__(self, rs: RootSystem):
-        self.rs = rs
-
-    def pseudo_root(self, a, i: int):
-        w = quasideterminant(self.rs, a, i)
-        return w * self.rs.root(i) * w.inverse()
+def _fill_from_quasideterminants(rs: RootSystem):
+    """Put (w, w . x_i . w^{-1}) with w the quasideterminant in every entry of rs.table."""
+    for a, i in _pairs(rs.n):
+        w = quasideterminant(rs, a, i)
+        rs.table._cache[(frozenset(a), i)] = (w, w * rs.root(i) * w.inverse())
 
 
 @SETTINGS
@@ -66,9 +63,8 @@ class _QuasideterminantTable:
 def test_table_equals_quasideterminant_path(rs):
     if _singular_vandermondes(rs):
         return  # the pseudo-roots are defined on generic systems only
-    table = PseudoRootTable(rs)
     for a, i in _pairs(rs.n):
-        w, x = table.pair(a, i)
+        w, x = rs.table.pair(a, i)
         oracle = quasideterminant(rs, a, i)
         assert w == oracle
         assert x == oracle * rs.root(i) * oracle.inverse()
@@ -90,8 +86,8 @@ def test_genericity_verdict_equals_block_vandermonde_ranks(rs):
 def test_diamonds_hold_on_quasideterminant_pseudo_roots(rs):
     if _singular_vandermondes(rs):
         return
-    table = _QuasideterminantTable(rs)
+    _fill_from_quasideterminants(rs)
     for a, i in _pairs(rs.n):
         for j in range(i + 1, rs.n + 1):
             if j not in a:
-                assert check_diamond(rs, a, i, j, table)
+                assert check_diamond(rs, a, i, j)

@@ -126,11 +126,11 @@ def test_link_examples():
 
 def test_local_homology_examples():
     for field in (RATIONALS, GF2):
-        assert local_homology_vanishes(boundary_delta3(), field, 2)
-        assert not local_homology_vanishes(wedge_triangles(), field, 2)
+        assert local_homology_vanishes(boundary_delta3(), field)
+        assert not local_homology_vanishes(wedge_triangles(), field)
         # closed surface: links are circles regardless of the field
-        assert local_homology_vanishes(rp2_six(), field, 2)
-    assert not local_homology_vanishes(triangle_plus_edge(), RATIONALS, 2)
+        assert local_homology_vanishes(rp2_six(), field)
+    assert not local_homology_vanishes(triangle_plus_edge(), RATIONALS)
 
 
 def test_koszulity_prediction_verdicts():
