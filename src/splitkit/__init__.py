@@ -7,7 +7,6 @@ from .dualalg import (
     KoszulVerdict,
     QuadraticPresentation,
     vertex_algebra_presentation,
-    discrepancy_lhs,
     discrepancy_lhs_table,
     graded_dims,
     vertex_hilbert,
@@ -45,7 +44,6 @@ from .laygraph import (
     SimplicialComplex,
     boolean_graph,
     complex_graph,
-    down_graph,
     hat,
     is_codim1_connected,
     is_pure,
@@ -88,7 +86,6 @@ from .topo import (
     BettiVector,
     KoszulityPrediction,
     betti,
-    discrepancy_rhs,
     discrepancy_rhs_table,
     euler_characteristic,
     link,

@@ -216,6 +216,7 @@ def _cmd_discrepancy(args, started) -> int:
         "topology_side": rhs,
         "sides_agree": lhs == rhs,
         "nonzero_degrees": [k for k, v in enumerate(lhs) if v],
+        "uniform": is_uniform(g),
     }
     _emit(args, _report(args, "discrepancy", desc, payload, started))
     return 0 if lhs == rhs else 1

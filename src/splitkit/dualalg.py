@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .caps import TENSOR_ENTRY_CAP, size_cap
 from .errors import NegativeDiscrepancy, SizeLimit
 from .exactlinalg import EchelonBasis, FieldSpec, annihilator_basis
-from .laygraph import LayeredGraph, require_valid
+from .laygraph import LayeredGraph, is_uniform, require_valid
 from .mobius import hilbert_series_inverse
 from .seriespoly import IntPolynomial, substitute_neg
 
@@ -228,29 +228,18 @@ def numerical_koszul_check(g: LayeredGraph, field: FieldSpec) -> KoszulVerdict:
     return KoszulVerdict(first is None, first, series_side, algebra_side, field)
 
 
-def _discrepancy_poly(g: LayeredGraph, field: FieldSpec) -> IntPolynomial:
-    return vertex_hilbert(g, field) - substitute_neg(hilbert_series_inverse(g, check_degree=False))
-
-
-def _nonnegative_at(diff: IntPolynomial, k: int) -> int:
-    val = diff[k]
-    if val < 0:
-        raise NegativeDiscrepancy(f"degree {k}: {val}")
-    return val
-
-
-def discrepancy_lhs(g: LayeredGraph, field: FieldSpec, k: int) -> int:
-    """Series/algebra discrepancy at degree k, from the algebra side:
+def discrepancy_lhs_table(g: LayeredGraph, field: FieldSpec) -> list:
+    """Series/algebra discrepancy, degrees 0..height, from the algebra side:
 
         [tau^k] ( H_vertex_algebra(tau) - H_inverse(-tau) ).
 
-    Nonnegative on every corpus graph; a negative value would contradict
-    the topological interpretation and raises NegativeDiscrepancy.
+    The table is signed: some non-uniform graphs have negative entries,
+    which the topological side reproduces.  On a uniform graph a negative
+    entry has never been seen and raises NegativeDiscrepancy.
     """
-    return _nonnegative_at(_discrepancy_poly(g, field), k)
-
-
-def discrepancy_lhs_table(g: LayeredGraph, field: FieldSpec) -> list:
-    """[lhs(k) for k = 0..height], from one discrepancy polynomial."""
-    diff = _discrepancy_poly(g, field)
-    return [_nonnegative_at(diff, k) for k in range(g.height + 1)]
+    diff = vertex_hilbert(g, field) - substitute_neg(hilbert_series_inverse(g, check_degree=False))
+    table = [diff[k] for k in range(g.height + 1)]
+    for k, val in enumerate(table):
+        if val < 0 and is_uniform(g):
+            raise NegativeDiscrepancy(f"degree {k}: {val}")
+    return table

@@ -15,7 +15,6 @@ from .errors import SizeLimit, ValidationError
 from .exactlinalg import EchelonBasis, FieldSpec
 
 MIN_ID = "∅"
-STAR_ID = "*"
 TOP_ID = "M"
 
 
@@ -24,6 +23,20 @@ def _json_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{what} must be an integer, got {json.dumps(value)}")
     return value
+
+
+def _json_str(value, what: str) -> str:
+    """A JSON string read from an input file; nothing else is converted to one."""
+    if not isinstance(value, str):
+        raise ValidationError(f"{what} must be a string, got {json.dumps(value)}")
+    return value
+
+
+def _json_edge(value) -> tuple:
+    """A JSON edge [tail, head] read from an input file."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValidationError(f"edge must be a two-element list, got {json.dumps(value)}")
+    return tuple(_json_str(v, "edge endpoint") for v in value)
 
 
 def set_id(vertices) -> str:
@@ -131,8 +144,10 @@ class LayeredGraph:
     @classmethod
     def from_json_dict(cls, data: dict) -> "LayeredGraph":
         try:
-            vertices = [(item["id"], _json_int(item["level"], "vertex level")) for item in data["vertices"]]
-            edges = [tuple(e) for e in data["edges"]]
+            vertices = [
+                (_json_str(v["id"], "vertex id"), _json_int(v["level"], "vertex level")) for v in data["vertices"]
+            ]
+            edges = [_json_edge(e) for e in data["edges"]]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"bad layered-graph JSON: {exc}") from exc
         return cls(vertices, edges)
@@ -260,14 +275,18 @@ class SimplicialComplex:
     __slots__ = ("facets", "_faces")
 
     def __init__(self, facets):
-        sets = []
+        by_size = {}
         for f in facets:
             fs = frozenset(int(v) for v in f)
             if not fs:
                 raise ValueError("facets must be nonempty")
-            sets.append(fs)
-        maximal = [f for f in sets if not any(f < g for g in sets)]
-        self.facets = tuple(sorted({tuple(sorted(f)) for f in maximal}))
+            by_size.setdefault(len(fs), set()).add(fs)
+        # a facet can only lie inside a strictly larger one, so a pure list needs no test
+        maximal = []
+        for n, fs in by_size.items():
+            larger = [g for m, gs in by_size.items() if m > n for g in gs]
+            maximal += [f for f in fs if not any(f < g for g in larger)]
+        self.facets = tuple(sorted(tuple(sorted(f)) for f in maximal))
         self._faces = None
 
     def __setattr__(self, name, value):
@@ -360,29 +379,6 @@ def hat(g: LayeredGraph) -> LayeredGraph:
         top_id += "'"
     vertices = list(g.vertices) + [(top_id, g.height + 1)]
     edges = list(g.edges) + [(top_id, v) for v in g.level_vertices(g.height)]
-    return LayeredGraph(vertices, edges)
-
-
-def down_graph(g: LayeredGraph, v: str, k: int) -> LayeredGraph:
-    """Poset of the k-1 levels strictly under v, with a fresh minimum "*".
-
-    Keeps {w : w < v, level(w) >= level(v)-k+1}, re-levelled so the
-    lowest kept layer sits at level 1 over the added minimum.
-    """
-    if v not in g:
-        raise ValueError(f"vertex {v!r} not in graph")
-    lv = g.level(v)
-    if not 1 <= k <= lv:
-        raise ValueError(f"need 1 <= k <= level({v}) = {lv}")
-    cutoff = lv - k + 1
-    kept = {w for w in g.descendants()[v] if g.level(w) >= cutoff}
-    vertices = [(STAR_ID, 0)] + [(w, g.level(w) - cutoff + 1) for w in kept]
-    edges = []
-    for w in kept:
-        if g.level(w) == cutoff:
-            edges.append((w, STAR_ID))
-        else:
-            edges.extend((w, u) for u in g.children(w) if u in kept)
     return LayeredGraph(vertices, edges)
 
 

@@ -1,24 +1,19 @@
-"""Simplicial homology over a field, order complexes, and local homology.
+"""Simplicial homology over a field, order complexes, local homology, and
+the topological side of the discrepancy.
 
 Boundary maps are lists of sparse signed columns whose ranks come from
 the exact EchelonBasis kernel; Betti numbers come from rank-nullity.
 Over a field, cohomology dimensions equal homology dimensions
-degreewise, so the homological ranks serve for both.
+degreewise, so the homological ranks serve for both.  The down-set
+complexes Delta(v, k) of the discrepancy are read from the graph's own
+edges as downward paths; `order_complex` is the general construction.
 """
 
 from dataclasses import dataclass
 
 from .errors import FaceNotInComplex, HypothesisViolation
 from .exactlinalg import EchelonBasis, FieldSpec
-from .laygraph import (
-    STAR_ID,
-    LayeredGraph,
-    SimplicialComplex,
-    _codim1_reached,
-    down_graph,
-    is_pure,
-    require_valid,
-)
+from .laygraph import LayeredGraph, SimplicialComplex, _codim1_reached, is_pure, require_valid
 
 DISCREPANCY_CONVENTIONS = ("calibrated", "reduced-proper", "reduced-min", "unreduced-min")
 
@@ -198,46 +193,50 @@ def predict_koszulity(x: SimplicialComplex, field: FieldSpec) -> KoszulityPredic
     return KoszulityPrediction(low and local, low, local, n, field)
 
 
-def _vertex_contribution(g, v, k, field, convention) -> int:
-    level = g.level(v)
-    if level < k:
-        return 0
+def _down_paths(g: LayeredGraph, rank: dict, v: str, k: int) -> list:
+    """Facets of Delta(v, k): the downward paths of k-1 vertices from a child of v.
+
+    Every edge of a layered graph is a cover, so these are the maximal
+    chains of the k-1 levels strictly below v.  Each vertex is labelled
+    by `rank`, its position in g.vertices ((level, id) order).  For
+    k = 1 the only path is the empty one.
+    """
+    paths = [((), v)]
+    for _ in range(k - 1):
+        paths = [(path + (rank[w],), w) for path, u in paths for w in g.children(u)]
+    return [path for path, _ in paths]
+
+
+def _vertex_contribution(g, rank, v, k, field, convention) -> int:
     if convention == "calibrated":
         if k < 2:
             return 0
-        dg = down_graph(g, v, k)
-        proper = order_complex(dg, exclude={STAR_ID})
-        acc = 0
-        if len(dg.vertices) == 1:  # empty down-set: reduced degree -1 is 1
-            acc += 1 if k % 2 == 0 else -1
-        bv = betti(proper, field, reduced=True)
-        for i in range(0, k - 2):  # the top degree k-2 never enters
-            acc += (1 if (k - 1 + i) % 2 == 0 else -1) * bv[i]
-        return acc
+        # for k >= 2 the down-set holds v's children, so reduced degree -1 is 0;
+        # the top degree k-2 never enters
+        bv = betti(SimplicialComplex(_down_paths(g, rank, v, k)), field, reduced=True)
+        return sum((1 if (k - 1 + i) % 2 == 0 else -1) * bv[i] for i in range(k - 2))
     if k == 0:
         # the truncated down-set is empty; only the added minimum remains
         return 1 if convention == "unreduced-min" else 0
-    dg = down_graph(g, v, k)
+    paths = _down_paths(g, rank, v, k)
     if convention == "reduced-proper":
-        bv = betti(order_complex(dg, exclude={STAR_ID}), field, reduced=True)
-    elif convention == "reduced-min":
-        bv = betti(order_complex(dg), field, reduced=True)
-    elif convention == "unreduced-min":
-        bv = betti(order_complex(dg), field, reduced=False)
-    else:
-        raise ValueError(f"unknown convention {convention!r}")
-    return sum(bv[i] for i in range(level))
+        bv = betti(SimplicialComplex(paths if k > 1 else []), field, reduced=True)
+    else:  # the cone over Delta(v, k): one apex, -1, below every vertex label
+        bv = betti(SimplicialComplex([(-1,) + p for p in paths]), field, reduced=convention == "reduced-min")
+    return sum(bv[i] for i in range(g.level(v)))
 
 
-def discrepancy_rhs(g: LayeredGraph, field: FieldSpec, k: int, convention: str = "calibrated") -> int:
-    """Topological side of the series/algebra discrepancy at degree k.
+def discrepancy_rhs_table(g: LayeredGraph, field: FieldSpec, convention: str = "calibrated") -> list:
+    """Topological side of the series/algebra discrepancy, degrees 0..height.
 
-    Sums, over vertices of level >= k, homology data of the order complex
-    of the k-1 levels strictly below the vertex.  The shipped default is
-    the convention the calibration suite selects: the signed sum of
-    reduced Betti numbers below the top degree,
+    Entry k sums, over vertices v of level >= k, homology data of the
+    down-set complex Delta(v, k): the order complex of the k-1 levels
+    strictly below v, whose facets are the downward paths of k-1
+    vertices starting at a child of v.  The shipped default is the
+    convention the calibration suite selects: the signed sum of reduced
+    Betti numbers below the top degree,
 
-        sum over i in [-1, k-3] of (-1)^(k-1+i) * bt_i(proper down-set),
+        sum over i in [-1, k-3] of (-1)^(k-1+i) * bt_i(Delta(v, k)),
 
     which matches the series side exactly on every corpus graph.  The
     three plain-sum conventions are kept for comparison; none of them
@@ -246,11 +245,8 @@ def discrepancy_rhs(g: LayeredGraph, field: FieldSpec, k: int, convention: str =
     require_valid(g)
     if convention not in DISCREPANCY_CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
-    if k < 0 or k > g.height:
-        raise ValueError(f"need 0 <= k <= height = {g.height}")
-    return sum(_vertex_contribution(g, v, k, field, convention) for v, lv in g.vertices if lv >= k)
-
-
-def discrepancy_rhs_table(g: LayeredGraph, field: FieldSpec, convention: str = "calibrated") -> list:
-    """[rhs(k) for k = 0..height]."""
-    return [discrepancy_rhs(g, field, k, convention) for k in range(g.height + 1)]
+    rank = {v: i for i, (v, _) in enumerate(g.vertices)}
+    return [
+        sum(_vertex_contribution(g, rank, v, k, field, convention) for v, lv in g.vertices if lv >= k)
+        for k in range(g.height + 1)
+    ]

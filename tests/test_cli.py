@@ -1,4 +1,5 @@
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -86,6 +87,18 @@ def test_discrepancy_command(capsys, tmp_path):
     rep = json.loads(out)
     assert rep["algebra_side"] == rep["topology_side"] == [0, 0, 0, 0, 1]
     assert rep["sides_agree"] is True and rep["nonzero_degrees"] == [4]
+    assert rep["uniform"] is True
+
+
+def test_discrepancy_is_signed_on_non_uniform_graph(capsys):
+    # both sides agree on a negative entry; only uniform graphs are held to a sign
+    graph = Path(__file__).resolve().parents[1] / "fixtures" / "negative_discrepancy.json"
+    for field in ("q", "gf2"):
+        code, out, _ = run(capsys, "discrepancy", "--graph", str(graph), "--field", field)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["algebra_side"] == rep["topology_side"] == [0, 0, 0, 2, -2]
+        assert rep["nonzero_degrees"] == [3, 4] and rep["uniform"] is False
 
 
 def test_topology_command(capsys, tmp_path):
@@ -204,6 +217,24 @@ def test_non_integer_json_inputs_are_usage_errors(capsys, tmp_path, command, dat
     assert err == f"splitkit: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "vertices, edges, message",
+    [
+        (["m", "a"], ["am"], 'edge must be a two-element list, got "am"'),
+        (["m", "a"], [["a", "m", "m"]], 'edge must be a two-element list, got ["a", "m", "m"]'),
+        (["m", "a"], [["a", 0]], "edge endpoint must be a string, got 0"),
+        (["m", None], [], "vertex id must be a string, got null"),
+        (["m", True], [], "vertex id must be a string, got true"),
+    ],
+)
+def test_non_string_graph_json_inputs_are_usage_errors(capsys, tmp_path, vertices, edges, message):
+    data = {"vertices": [{"id": v, "level": lv} for lv, v in enumerate(vertices)], "edges": edges}
+    path = _write(tmp_path, "graph.json", data)
+    code, out, err = run(capsys, "graph", "--graph", str(path))
+    assert code == 2 and out == ""
+    assert err == f"splitkit: {message}\n"
+
+
 def test_file_os_errors_are_usage_errors(capsys, tmp_path):
     for argv in (
         ("topology", "--complex", str(tmp_path), "--field", "q"),
@@ -229,6 +260,21 @@ def test_benchmark_requests_parse(tmp_path, monkeypatch):
         assert requests
         for req in requests:
             parser.parse_args(list(req.argv))
+
+
+def test_documented_commands_parse():
+    # every `splitkit ...` line of the README and of the calibration doc's
+    # Reproducing block must parse, so removing or renaming a documented flag fails here
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    calibration = (root / "docs" / "discrepancy_calibration.md").read_text(encoding="utf-8")
+    reproducing = calibration.split("## Reproducing")[1]
+    parser = build_parser()
+    for text in (readme, reproducing):
+        lines = [line.split("#")[0] for line in text.splitlines() if line.startswith("splitkit ")]
+        assert lines
+        for line in lines:
+            parser.parse_args(shlex.split(line)[1:])
 
 
 def test_pretty_flag_changes_layout_not_content(capsys):

@@ -1,21 +1,24 @@
+import json
+from pathlib import Path
+
 import pytest
 
+from splitkit import dualalg
 from splitkit.calibration import calibrate_convention, default_cases
 from splitkit.dualalg import (
     GraphPresentation,
     QuadraticPresentation,
     vertex_algebra_presentation,
-    discrepancy_lhs,
     discrepancy_lhs_table,
     graded_dims,
     vertex_hilbert,
     numerical_koszul_check,
     quadratic_dual,
 )
-from splitkit.errors import SizeLimit
+from splitkit.errors import NegativeDiscrepancy, SizeLimit
 from splitkit.exactlinalg import GF2, GF3, RATIONALS
 from splitkit.fixtures import koszul_corpus, rp2_six, single_edge_graph
-from splitkit.laygraph import boolean_graph, complex_graph, hat, subspace_graph
+from splitkit.laygraph import LayeredGraph, boolean_graph, complex_graph, hat, subspace_graph
 from splitkit.topo import discrepancy_rhs_table
 
 
@@ -158,7 +161,7 @@ def test_discrepancy_lhs_zero_whenever_koszul():
 def test_discrepancy_lhs_degree_values():
     g = hat(complex_graph(rp2_six()))
     assert discrepancy_lhs_table(g, GF2) == [0, 0, 0, 0, 1]
-    assert discrepancy_lhs(g, GF2, 0) == 0 and discrepancy_lhs(g, GF2, 1) == 0
+    assert discrepancy_lhs_table(g, RATIONALS) == [0, 0, 0, 0, 0]
 
 
 def test_discrepancy_cross_module_oracle():
@@ -204,6 +207,16 @@ def test_discrepancy_identity_holds_off_corpus():
     assert graded_dims(plain, 3) == graded_dims(pres, 3) == [1, 5, 1, 0]
 
 
+def test_negative_discrepancy_raised_only_on_uniform_graphs(monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "fixtures" / "negative_discrepancy.json"
+    g = LayeredGraph.from_json_dict(json.loads(path.read_text(encoding="utf-8")))
+    for field in (RATIONALS, GF2, GF3):
+        assert discrepancy_lhs_table(g, field) == discrepancy_rhs_table(g, field) == [0, 0, 0, 2, -2]
+    monkeypatch.setattr(dualalg, "is_uniform", lambda g: True)
+    with pytest.raises(NegativeDiscrepancy, match="degree 4: -2"):
+        discrepancy_lhs_table(g, RATIONALS)
+
+
 def test_vertex_algebra_field_must_be_explicit():
     with pytest.raises(TypeError):
         vertex_hilbert(boolean_graph(2))  # no default field
@@ -214,7 +227,6 @@ def test_vertex_dims_equal_top_down_set_homology():
     # over vertices of level >= k of the top reduced Betti number of the
     # order complex of the k-1 levels strictly below the vertex
     from splitkit.fixtures import full_graph_corpus
-    from splitkit.laygraph import STAR_ID, down_graph
     from splitkit.topo import betti, order_complex
 
     for name, g in full_graph_corpus():
@@ -225,7 +237,8 @@ def test_vertex_dims_equal_top_down_set_homology():
                 total = 0
                 for v, lv in g.vertices:
                     if lv >= k:
-                        oc = order_complex(down_graph(g, v, k), exclude={STAR_ID})
+                        kept = {w for w in g.descendants()[v] if g.level(w) > lv - k}
+                        oc = order_complex(g, exclude={w for w in g.ids() if w not in kept})
                         total += betti(oc, field, reduced=True)[k - 2]
                 assert dims[k] == total, (name, field, k)
 

@@ -14,7 +14,6 @@ from splitkit.laygraph import (
     SimplicialComplex,
     boolean_graph,
     complex_graph,
-    down_graph,
     hat,
     is_codim1_connected,
     is_pure,
@@ -139,42 +138,6 @@ def test_hat_of_truncated_diamond():
     g = LayeredGraph([("∅", 0), ("{1}", 1), ("{2}", 1)], [("{1}", "∅"), ("{2}", "∅")])
     h = hat(g)
     assert len(h.vertices) == 4 and len(h.edges) == 4  # the diamond shape
-
-
-def test_down_graph_examples():
-    g = boolean_graph(3)
-    dg = down_graph(g, "{1,3}", 2)
-    assert sorted(v for v, _ in dg.vertices) == ["*", "{1}", "{3}"]
-    dg = down_graph(g, "{1,2,3}", 3)
-    assert validate(dg).ok
-    # k = level(v): the whole open down-set under a fresh minimum
-    open_down = {w for w in g.descendants()["{1,2,3}"] if g.level(w) >= 1}
-    assert {v for v, _ in dg.vertices} == open_down | {"*"}
-    assert len(dg.vertices) == 7  # six proper nonempty subsets plus the minimum
-
-
-def test_down_graph_of_hatted_face_poset_top():
-    from splitkit.fixtures import rp2_six
-
-    g = hat(complex_graph(rp2_six()))
-    dg = down_graph(g, "M", 4)
-    # the whole face poset of the complex, re-minimized over "*"
-    assert len(dg.vertices) == 1 + 6 + 15 + 10
-    assert validate(dg).ok and dg.height == 3
-
-
-def test_down_graph_k1_is_star_only():
-    g = boolean_graph(3)
-    dg = down_graph(g, "{1,2}", 1)
-    assert [v for v, _ in dg.vertices] == ["*"]
-
-
-def test_down_graph_bad_args():
-    g = boolean_graph(2)
-    with pytest.raises(ValueError):
-        down_graph(g, "{1}", 2)
-    with pytest.raises(ValueError):
-        down_graph(g, "nope", 1)
 
 
 def test_uniformity():

@@ -9,11 +9,11 @@ from splitkit.fixtures import (
     triangle_plus_edge,
     wedge_triangles,
 )
-from splitkit.laygraph import LayeredGraph, SimplicialComplex, boolean_graph, complex_graph, down_graph, hat
+from splitkit.laygraph import LayeredGraph, SimplicialComplex, boolean_graph, complex_graph, hat
 from splitkit.topo import (
     betti,
     boundary_columns,
-    discrepancy_rhs,
+    discrepancy_rhs_table,
     euler_characteristic,
     link,
     local_homology_vanishes,
@@ -97,13 +97,16 @@ def test_order_complex_of_diamond_is_contractible():
 
 
 def test_order_complex_with_minimum_is_always_contractible():
-    # coning: any poset with a global minimum has trivial reduced homology
+    # coning: any poset with a global minimum has trivial reduced homology;
+    # here the k-1 levels strictly under v, T(v, k), plus the graph's own minimum
     for g in (boolean_graph(3), complex_graph(rp2_six())):
+        (bottom,) = g.level_vertices(0)
         for v, lv in g.vertices:
-            if lv < 2:
-                continue
-            dg = down_graph(g, v, 2)
-            assert betti(order_complex(dg), GF2, reduced=True).total() == 0
+            for k in range(2, lv + 1):
+                kept = {w for w in g.descendants()[v] if g.level(w) > lv - k} | {bottom}
+                oc = order_complex(g, exclude={w for w in g.ids() if w not in kept})
+                assert len(oc.vertices) == len(kept)
+                assert betti(oc, GF2, reduced=True).total() == 0
 
 
 def test_order_complex_of_face_poset_is_barycentric_subdivision():
@@ -156,32 +159,26 @@ def test_koszulity_prediction_rejects_empty_complex():
 
 
 def test_discrepancy_rhs_zero_on_koszul_cases():
-    g = boolean_graph(3)
-    for k in range(4):
-        assert discrepancy_rhs(g, RATIONALS, k, "calibrated") == 0
+    assert discrepancy_rhs_table(boolean_graph(3), RATIONALS, "calibrated") == [0, 0, 0, 0]
 
 
 def test_discrepancy_rhs_positive_for_hatted_projective_plane_char2():
     g = hat(complex_graph(rp2_six()))
-    table = [discrepancy_rhs(g, GF2, k, "calibrated") for k in range(5)]
-    assert table == [0, 0, 0, 0, 1]
-    table_q = [discrepancy_rhs(g, RATIONALS, k, "calibrated") for k in range(5)]
-    assert table_q == [0, 0, 0, 0, 0]
+    assert discrepancy_rhs_table(g, GF2, "calibrated") == [0, 0, 0, 0, 1]
+    assert discrepancy_rhs_table(g, RATIONALS, "calibrated") == [0, 0, 0, 0, 0]
 
 
 def test_discrepancy_rhs_printed_conventions_disagree_on_koszul_corpus():
     # the three plain-sum conventions cannot reproduce the zero table
     g = boolean_graph(3)
-    assert any(discrepancy_rhs(g, RATIONALS, k, "reduced-proper") != 0 for k in range(4))
-    assert any(discrepancy_rhs(g, RATIONALS, k, "unreduced-min") != 0 for k in range(4))
+    assert any(discrepancy_rhs_table(g, RATIONALS, "reduced-proper"))
+    assert any(discrepancy_rhs_table(g, RATIONALS, "unreduced-min"))
     # the cone convention is identically zero, so it misses the nonzero case
     g2 = hat(complex_graph(rp2_six()))
-    assert all(discrepancy_rhs(g2, GF2, k, "reduced-min") == 0 for k in range(5))
+    assert not any(discrepancy_rhs_table(g2, GF2, "reduced-min"))
 
 
 def test_discrepancy_rhs_rejects_bad_args():
     g = boolean_graph(2)
     with pytest.raises(ValueError):
-        discrepancy_rhs(g, RATIONALS, 9)
-    with pytest.raises(ValueError):
-        discrepancy_rhs(g, RATIONALS, 1, "nope")
+        discrepancy_rhs_table(g, RATIONALS, "nope")
