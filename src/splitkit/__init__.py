@@ -3,7 +3,6 @@ polynomials, layered graphs, Hilbert series, and combinatorial topology."""
 
 from .calibration import CalibrationResult, calibrate_convention
 from .dualalg import (
-    GraphPresentation,
     KoszulVerdict,
     QuadraticPresentation,
     vertex_algebra_presentation,

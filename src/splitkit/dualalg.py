@@ -3,9 +3,12 @@
 The vertex algebra of a layered graph is generated by the positive-level
 vertices with two families of degree-2 relations: products along
 non-edges vanish, and each vertex kills the sum of its lower covers.
-Its graded dimensions are computed by exact rank on the path-word basis,
-and compared against the sign-alternated inverse Hilbert series of the
-edge algebra.
+Its graded dimensions are computed by exact rank on the path-word basis
+(`vertex_hilbert`, the one path route), and compared against the
+sign-alternated inverse Hilbert series of the edge algebra.  Any
+quadratic presentation, that of the vertex algebra included, also has
+the generic route `graded_dims`, which quotients the full tensor power
+and serves as the independent oracle for the path route.
 """
 
 import itertools
@@ -52,15 +55,7 @@ class QuadraticPresentation:
         return len(self.generators)
 
 
-@dataclass(frozen=True)
-class GraphPresentation(QuadraticPresentation):
-    """Presentation of the vertex algebra of a layered graph; remembers the
-    graph so graded dimensions can run on the path basis."""
-
-    graph: LayeredGraph = None
-
-
-def vertex_algebra_presentation(g: LayeredGraph, field: FieldSpec) -> GraphPresentation:
+def vertex_algebra_presentation(g: LayeredGraph, field: FieldSpec) -> QuadraticPresentation:
     """Vertex-algebra presentation: generators are the positive-level vertices.
 
     Relations: u (x) v for every ordered pair without an edge u -> v, and
@@ -80,75 +75,18 @@ def vertex_algebra_presentation(g: LayeredGraph, field: FieldSpec) -> GraphPrese
     for v in gens:
         if g.level(v) >= 2:
             vectors.append({index[v] * m + index[w]: 1 for w in g.children(v)})
-    base = QuadraticPresentation.make(gens, vectors, field)
-    return GraphPresentation(base.generators, base.relations, field, graph=g)
-
-
-def _paths_by_length(g: LayeredGraph, maxlen: int) -> list:
-    """paths[k] = all downward edge-paths of k vertices inside positive levels."""
-    gens = [v for v, lv in g.vertices if lv > 0]
-    paths = [[()], [(v,) for v in gens]]
-    for _ in range(2, maxlen + 1):
-        nxt = []
-        for p in paths[-1]:
-            tail = p[-1]
-            if g.level(tail) >= 2:
-                nxt.extend(p + (w,) for w in g.children(tail))
-        paths.append(nxt)
-    return paths
-
-
-def _graph_graded_dims(g: LayeredGraph, field: FieldSpec, maxdeg: int) -> list:
-    """Graded dimensions of the vertex algebra on the path-word basis.
-
-    Words with a non-edge adjacency are already relations, so degree k is
-    spanned by paths of k vertices; the sum relations embed as rows
-    summing over the middle vertex of path words with fixed ends.
-    """
-    paths = _paths_by_length(g, maxdeg)
-    dims = [1]
-    for k in range(1, maxdeg + 1):
-        cols = {p: i for i, p in enumerate(paths[k])}
-        if not cols:
-            dims.append(0)
-            continue
-        if k == 1:
-            dims.append(len(cols))
-            continue
-        basis = EchelonBasis(field)
-        one = field.one()
-        for a in range(k - 1):
-            b = k - 2 - a
-            for prefix in paths[a + 1]:
-                u = prefix[-1]
-                if g.level(u) < 2:
-                    continue
-                ws = g.children(u)
-                for suffix in paths[b]:
-                    row = {}
-                    for w in ws:
-                        if b == 0 or suffix[0] in g.children(w):
-                            word = prefix + (w,) + suffix
-                            idx = cols.get(word)
-                            if idx is not None:
-                                row[idx] = field.add(row.get(idx, field.zero()), one)
-                    if row:
-                        basis.insert(row)
-        dims.append(len(cols) - basis.rank)
-    if maxdeg > g.height:
-        assert all(d == 0 for d in dims[g.height + 1 :]), "dimensions persist beyond the graph height"
-    return dims
+    return QuadraticPresentation.make(gens, vectors, field)
 
 
 def graded_dims(p: QuadraticPresentation, maxdeg: int) -> list:
     """dims[k] = dim of degree k of the quadratic algebra, k = 0..maxdeg.
 
-    Graph presentations run on the path basis.  Generic presentations
-    quotient the full tensor power by all embedded relation vectors; the
-    ambient size (rows x columns) is capped.
+    The generic route: degree k is the full tensor power modulo every
+    embedding V^(x)a (x) R (x) V^(x)b of the relations.  It knows nothing
+    of graphs, so on a vertex-algebra presentation it is the independent
+    oracle for `vertex_hilbert`.  The ambient size (rows x columns) is
+    capped.
     """
-    if isinstance(p, GraphPresentation) and p.graph is not None:
-        return _graph_graded_dims(p.graph, p.field, maxdeg)
     cap = size_cap(TENSOR_ENTRY_CAP)
     m = p.num_generators
     field = p.field
@@ -180,12 +118,31 @@ def graded_dims(p: QuadraticPresentation, maxdeg: int) -> list:
 
 
 def vertex_hilbert(g: LayeredGraph, field: FieldSpec) -> IntPolynomial:
-    """Hilbert polynomial of the vertex algebra; degree is at most the height."""
+    """Hilbert polynomial of the vertex algebra, by exact rank on path words.
+
+    The path route: words with a non-edge adjacency are already
+    relations, so degree k is spanned by the downward paths of k
+    positive-level vertices, and no path has more letters than the
+    height.  The sum relation of u, embedded with its free letter at
+    position j >= 1, is the sum of the path words that have u at j-1 and
+    agree everywhere but at j.  So each group of words with equal
+    (p[:j], p[j+1:]) is one row; the rows go in position by position.
+    """
     require_valid(g)
-    dims = _graph_graded_dims(g, field, g.height)
-    poly = IntPolynomial(dims)
-    assert poly.degree <= g.height
-    return poly
+    one = field.one()
+    words = [(v,) for v, lv in g.vertices if lv > 0]
+    dims = [1, len(words)]
+    for k in range(2, g.height + 1):
+        words = [p + (w,) for p in words if g.level(p[-1]) >= 2 for w in g.children(p[-1])]
+        basis = EchelonBasis(field)
+        for j in range(1, k):
+            rows = {}
+            for i, p in enumerate(words):
+                rows.setdefault((p[:j], p[j + 1 :]), {})[i] = one
+            for row in rows.values():
+                basis.insert(row)
+        dims.append(len(words) - basis.rank)
+    return IntPolynomial(dims)
 
 
 def quadratic_dual(p: QuadraticPresentation) -> QuadraticPresentation:
@@ -237,7 +194,8 @@ def discrepancy_lhs_table(g: LayeredGraph, field: FieldSpec) -> list:
     which the topological side reproduces.  On a uniform graph a negative
     entry has never been seen and raises NegativeDiscrepancy.
     """
-    diff = vertex_hilbert(g, field) - substitute_neg(hilbert_series_inverse(g, check_degree=False))
+    verdict = numerical_koszul_check(g, field)
+    diff = verdict.algebra_side - verdict.series_side
     table = [diff[k] for k in range(g.height + 1)]
     for k, val in enumerate(table):
         if val < 0 and is_uniform(g):

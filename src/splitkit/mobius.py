@@ -69,6 +69,7 @@ def graded_mobius(g: LayeredGraph) -> IntPolynomial:
     the Hilbert series of the subset lattice on one element already
     disagrees with its closed form.
     """
+    require_valid(g)
     table = _mu_table(g)
     coeffs = [0] * (g.height + 1)
     for (v, w), mu in table.items():

@@ -44,6 +44,16 @@ def test_reports_are_deterministic(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("level", [2, 100000000000])
+def test_mobius_rejects_invalid_graph(capsys, tmp_path, level):
+    # the only edge drops more than one level; a huge level must not be
+    # allocated as a coefficient list before the graph is checked
+    data = {"vertices": [{"id": "m", "level": 0}, {"id": "a", "level": level}], "edges": [["a", "m"]]}
+    code, out, err = run(capsys, "mobius", "--graph", str(_write(tmp_path, "g.json", data)))
+    assert code == 2 and out == ""
+    assert err == f"splitkit: edge level gap: a({level}) -> m(0)\n"
+
+
 def test_hilbert_values(capsys):
     code, out, _ = run(capsys, "hilbert", "--boolean", "2", "-D", "3")
     assert code == 0

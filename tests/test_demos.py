@@ -1,0 +1,30 @@
+"""Each demo script runs to completion against the installed package API."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def run_demo(path: Path) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(path)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_all_four_demos_are_collected():
+    assert len(DEMOS) == 4
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_exits_cleanly(path):
+    proc = run_demo(path)
+    assert proc.returncode == 0, proc.stderr
+    if path.stem == "03_vertex_algebras_and_koszulity":
+        # the two independent routes print the same list
+        printed = {key: value.strip() for key, _, value in (line.partition(":") for line in proc.stdout.splitlines())}
+        assert printed["path-basis dims"] == printed["tensor-space dims"]

@@ -1,33 +1,44 @@
-"""Seeded property tests for the down-set complexes on random layered graphs.
+"""Seeded property tests for the down-set complexes and the path words,
+on random layered graphs and on the face posets of random complexes.
 
 The discrepancy's topological side builds each Delta(v, k) from the
 graph's edges as downward paths.  The oracles here take the other
 routes: `order_complex` recovers covers from the descendant sets and
 takes maximal chains, the algebra side of the discrepancy comes from
 ranks on path words and the Möbius polynomial, and the chain-counting
-Möbius value runs opposite to the recursion.  The facet tests check
-the maximality filter of `SimplicialComplex` against the plain
-quadratic rule.
+Möbius value runs opposite to the recursion.  The path-word ranks are
+checked in turn against the full tensor quotient of the presentation.
+The facet tests check the maximality filter of `SimplicialComplex`
+against the plain quadratic rule.
 """
+
+import itertools
 
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from splitkit.dualalg import discrepancy_lhs_table
+from splitkit.dualalg import discrepancy_lhs_table, graded_dims, vertex_algebra_presentation, vertex_hilbert
 from splitkit.exactlinalg import GF2, GF3, RATIONALS
-from splitkit.laygraph import LayeredGraph, SimplicialComplex
+from splitkit.laygraph import LayeredGraph, SimplicialComplex, complex_graph, hat, is_codim1_connected, is_pure
 from splitkit.mobius import mobius_value, mobius_value_chain
-from splitkit.topo import _down_paths, discrepancy_rhs_table, order_complex
+from splitkit.topo import (
+    DISCREPANCY_CONVENTIONS,
+    _down_paths,
+    betti,
+    discrepancy_rhs_table,
+    euler_characteristic,
+    order_complex,
+)
 
 FIELDS = (RATIONALS, GF2, GF3)
 SETTINGS = settings(max_examples=40, deadline=None, database=None)
 
 
 @st.composite
-def layered_graphs(draw):
+def layered_graphs(draw, heights=(2, 5), widths=(1, 4)):
     """Valid layered graphs: height 2-5, 1-4 vertices per level, non-empty child sets."""
-    height = draw(st.integers(2, 5))
-    levels = [["m"]] + [[f"v{i}_{j}" for j in range(draw(st.integers(1, 4)))] for i in range(1, height + 1)]
+    height = draw(st.integers(*heights))
+    levels = [["m"]] + [[f"v{i}_{j}" for j in range(draw(st.integers(*widths)))] for i in range(1, height + 1)]
     vertices = [(v, i) for i, level in enumerate(levels) for v in level]
     edges = []
     for i in range(1, height + 1):
@@ -35,6 +46,23 @@ def layered_graphs(draw):
             children = draw(st.sets(st.sampled_from(levels[i - 1]), min_size=1))
             edges += [(v, w) for w in sorted(children)]
     return LayeredGraph(vertices, edges)
+
+
+@st.composite
+def codim1_connected_complexes(draw):
+    """Pure complexes of dimension 1-3 on 5-8 vertices: random facets, cut
+    down to those joined to the first one through codimension-one faces.
+    Dimension 3 draws at most three facets: with four, the cone
+    conventions over Q can already take seconds."""
+    n = draw(st.integers(5, 8))
+    dim = draw(st.sampled_from((1, 2, 3)))
+    simplices = list(itertools.combinations(range(n), dim + 1))
+    sizes = (4, 7) if dim < 3 else (2, 3)
+    drawn = draw(st.lists(st.sampled_from(simplices), min_size=sizes[0], max_size=sizes[1], unique=True))
+    facets = drawn[:1]
+    for facet in facets:  # grows while it is walked
+        facets += [f for f in drawn if f not in facets and len(set(f) & set(facet)) == dim]
+    return SimplicialComplex(facets)
 
 
 @SETTINGS
@@ -83,3 +111,32 @@ def test_facets_equal_the_quadratic_maximality_rule(facets):
     sets = [frozenset(f) for f in facets]
     expected = {tuple(sorted(f)) for f in sets if not any(f < g for g in sets)}
     assert SimplicialComplex(facets).facets == tuple(sorted(expected))
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@seed(20090935)
+@given(layered_graphs(heights=(2, 3), widths=(1, 3)).filter(lambda g: len(g.vertices) <= 6))
+def test_path_words_equal_the_full_tensor_quotient(g):
+    # the full tensor quotient knows nothing of paths, and also confirms
+    # that nothing survives one degree past the height; at most five
+    # generators keep its m^(height+1) columns small
+    for field in FIELDS:
+        dims = list(vertex_hilbert(g, field).coeffs)
+        dims += [0] * (g.height + 2 - len(dims))
+        assert dims == graded_dims(vertex_algebra_presentation(g, field), g.height + 1), field
+
+
+@settings(max_examples=45, deadline=None, database=None)
+@seed(20090936)
+@given(codim1_connected_complexes(), st.booleans())
+def test_discrepancy_sides_agree_on_face_posets_and_plain_sums_miss(x, hatted):
+    assert is_pure(x) and is_codim1_connected(x)
+    g = hat(complex_graph(x)) if hatted else complex_graph(x)
+    for field in FIELDS:
+        table = discrepancy_lhs_table(g, field)
+        assert table == discrepancy_rhs_table(g, field, "calibrated"), field
+        b = betti(x, field, reduced=False).b
+        assert euler_characteristic(x) == sum((-1) ** i * v for i, v in enumerate(b)), field
+        if any(table):
+            for convention in set(DISCREPANCY_CONVENTIONS) - {"calibrated"}:
+                assert discrepancy_rhs_table(g, field, convention) != table, (field, convention)

@@ -6,7 +6,6 @@ import pytest
 from splitkit import dualalg
 from splitkit.calibration import calibrate_convention, default_cases
 from splitkit.dualalg import (
-    GraphPresentation,
     QuadraticPresentation,
     vertex_algebra_presentation,
     discrepancy_lhs_table,
@@ -19,6 +18,7 @@ from splitkit.errors import NegativeDiscrepancy, SizeLimit
 from splitkit.exactlinalg import GF2, GF3, RATIONALS
 from splitkit.fixtures import koszul_corpus, rp2_six, single_edge_graph
 from splitkit.laygraph import LayeredGraph, boolean_graph, complex_graph, hat, subspace_graph
+from splitkit.seriespoly import IntPolynomial
 from splitkit.topo import discrepancy_rhs_table
 
 
@@ -68,19 +68,17 @@ def test_height_one_graph_with_m_tops():
 
 
 def test_path_basis_route_matches_generic_tensor_route():
-    # same dimensions through the full tensor quotient, with the graph
-    # structure erased from the presentation
+    # same dimensions through the full tensor quotient, which sees only
+    # the presentation and vanishes past the height on its own
     for g, field, maxdeg in [
         (boolean_graph(2), RATIONALS, 4),
         (boolean_graph(2), GF2, 4),
         (single_edge_graph(), RATIONALS, 4),
         (boolean_graph(3), GF2, 3),
     ]:
-        pres = vertex_algebra_presentation(g, field)
-        plain = QuadraticPresentation(pres.generators, pres.relations, field)
-        generic = graded_dims(plain, maxdeg)
-        path = graded_dims(pres, maxdeg)
-        assert generic == path, (field, maxdeg)
+        generic = graded_dims(vertex_algebra_presentation(g, field), maxdeg)
+        path = list(vertex_hilbert(g, field).coeffs)
+        assert generic == path + [0] * (maxdeg + 1 - len(path)), (field, maxdeg)
 
 
 def test_graded_dims_free_and_truncated_closed_forms():
@@ -117,15 +115,7 @@ def test_quadratic_dual_of_square_zero_is_polynomial_ring():
 
 def test_double_dual_restores_relation_space():
     pres = vertex_algebra_presentation(boolean_graph(2), GF2)
-    plain = QuadraticPresentation(pres.generators, pres.relations, GF2)
-    assert quadratic_dual(quadratic_dual(plain)).relations == plain.relations
-
-
-def test_dims_vanish_beyond_height_on_corpus():
-    for name, g in koszul_corpus():
-        pres = vertex_algebra_presentation(g, GF2)
-        dims = graded_dims(pres, g.height + 2)
-        assert dims[g.height + 1 :] == [0, 0], name
+    assert quadratic_dual(quadratic_dual(pres)).relations == pres.relations
 
 
 def test_dims_degree_one_counts_generators():
@@ -178,12 +168,6 @@ def test_calibration_uniquely_selects_shipped_convention():
     assert nonzero["lhs"] == [0, 0, 0, 0, 1]
 
 
-def test_graph_presentation_carries_graph():
-    pres = vertex_algebra_presentation(boolean_graph(2), RATIONALS)
-    assert isinstance(pres, GraphPresentation)
-    assert pres.graph == boolean_graph(2)
-
-
 def test_discrepancy_identity_holds_off_corpus():
     # the two sides agree on any valid layered graph, Koszul or not,
     # uniform or not; these two have genuinely nonzero tables
@@ -202,9 +186,8 @@ def test_discrepancy_identity_holds_off_corpus():
             assert lhs == discrepancy_rhs_table(g, field, "calibrated")
             assert lhs == [0, 0, 0, 1]  # field-independent here
     # independent route agrees on the non-uniform graph too
-    pres = vertex_algebra_presentation(bad, RATIONALS)
-    plain = QuadraticPresentation(pres.generators, pres.relations, RATIONALS)
-    assert graded_dims(plain, 3) == graded_dims(pres, 3) == [1, 5, 1, 0]
+    assert graded_dims(vertex_algebra_presentation(bad, RATIONALS), 3) == [1, 5, 1, 0]
+    assert vertex_hilbert(bad, RATIONALS) == IntPolynomial([1, 5, 1])
 
 
 def test_negative_discrepancy_raised_only_on_uniform_graphs(monkeypatch):
