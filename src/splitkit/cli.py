@@ -176,8 +176,8 @@ def _cmd_hilbert(args, started) -> int:
 def _cmd_dual(args, started) -> int:
     g, _, desc = _build_graph(args)
     field = parse_field(args.field)
+    hb = vertex_hilbert(g, field)  # first, so the path cap is checked before the m^2 relations are built
     pres = vertex_algebra_presentation(g, field)
-    hb = vertex_hilbert(g, field)
     payload = {
         "field": str(field),
         "generators": list(pres.generators),

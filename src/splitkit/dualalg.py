@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .caps import TENSOR_ENTRY_CAP, size_cap
 from .errors import NegativeDiscrepancy, SizeLimit
 from .exactlinalg import EchelonBasis, FieldSpec, annihilator_basis
-from .laygraph import LayeredGraph, is_uniform, require_valid
+from .laygraph import LayeredGraph, is_uniform, require_path_cap, require_valid
 from .mobius import hilbert_series_inverse
 from .seriespoly import IntPolynomial, substitute_neg
 
@@ -127,9 +127,10 @@ def vertex_hilbert(g: LayeredGraph, field: FieldSpec) -> IntPolynomial:
     position j >= 1, is the sum of the path words that have u at j-1 and
     agree everywhere but at j.  So each group of words with equal
     (p[:j], p[j+1:]) is one row; the rows go in position by position.
+    The number of paths is capped before any is built.
     """
     require_valid(g)
-    one = field.one()
+    require_path_cap(g)
     words = [(v,) for v, lv in g.vertices if lv > 0]
     dims = [1, len(words)]
     for k in range(2, g.height + 1):
@@ -138,7 +139,7 @@ def vertex_hilbert(g: LayeredGraph, field: FieldSpec) -> IntPolynomial:
         for j in range(1, k):
             rows = {}
             for i, p in enumerate(words):
-                rows.setdefault((p[:j], p[j + 1 :]), {})[i] = one
+                rows.setdefault((p[:j], p[j + 1 :]), {})[i] = 1
             for row in rows.values():
                 basis.insert(row)
         dims.append(len(words) - basis.rank)
@@ -175,8 +176,8 @@ def numerical_koszul_check(g: LayeredGraph, field: FieldSpec) -> KoszulVerdict:
     requested field.  The field must be passed explicitly because the
     algebra side is characteristic-sensitive.
     """
+    algebra_side = vertex_hilbert(g, field)  # first: its path cap fails fast, before the Möbius table
     series_side = substitute_neg(hilbert_series_inverse(g, check_degree=False))
-    algebra_side = vertex_hilbert(g, field)
     first = None
     for k in range(max(series_side.degree, algebra_side.degree) + 1):
         if series_side[k] != algebra_side[k]:

@@ -4,11 +4,15 @@ Everything here is exact: rationals are `fractions.Fraction`, prime-field
 elements are ints reduced into [0, p).  No floating point anywhere.
 `EchelonBasis` is the one elimination kernel: dense ranks and inverses
 are read off an echelon basis of the matrix rows, and every null space,
-dense or sparse, comes from `annihilator_basis`.
+dense or sparse, comes from `annihilator_basis`.  Over Q the kernel
+eliminates fraction-free: it keeps each row a primitive integer vector
+and turns back to Fractions only in `reduced_rows`, so every result it
+hands out over Q is still a Fraction.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import SingularMatrix
 
@@ -112,9 +116,15 @@ def parse_field(name: str) -> FieldSpec:
 class EchelonBasis:
     """Incremental row-echelon basis of sparse vectors over a field.
 
-    Rows are dicts {column: value} with the pivot normalized to 1.  Used
-    for every rank in the package (dense matrices, boundary maps, sparse
-    relation systems) and for canonical (RREF) storage of row spaces.
+    Rows are dicts {column: value}; a row's pivot is its smallest column.
+    Over GF(p) each stored row has its pivot normalized to 1.  Over Q each
+    stored row is a primitive integer vector (content 1) with a positive
+    pivot: inputs have their denominators cleared, and a row is reduced
+    against a pivot row by a*row - b*pivot, with (a, b) the two leading
+    entries divided by their gcd, then divided by its content, so no
+    Fraction is created during elimination.  Used for every rank in the
+    package (dense matrices, boundary maps, sparse relation systems) and
+    for canonical (RREF) storage of row spaces.
     """
 
     def __init__(self, field: FieldSpec):
@@ -125,25 +135,69 @@ class EchelonBasis:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def reduce(self, vec: dict) -> dict:
-        """Return vec with its leading column reduced past every pivot.
+    def _eliminate(self, row: dict, piv: dict, col: int) -> dict:
+        """Cancel row[col] against the pivot row whose pivot is col, in place.
 
-        Result is empty iff vec lies in the current row space.
+        Over GF(p) this is row - row[col]*piv (the pivot entry is 1); over
+        Q it is a*row - b*piv divided by its content, a nonzero multiple
+        of the same difference.
         """
-        f = self.field
-        row = {c: v for c, v in vec.items() if v}
-        while row:
-            col = min(row)
-            piv = self.pivots.get(col)
-            if piv is None:
-                break
-            coeff = row[col]
+        p = self.field.p
+        b = row[col]
+        if p is not None:
             for c, v in piv.items():
-                nv = f.sub(row.get(c, f.zero()), f.mul(coeff, v))
+                nv = (row.get(c, 0) - b * v) % p
                 if nv:
                     row[c] = nv
                 else:
-                    row.pop(c, None)
+                    del row[c]
+            return row
+        a = piv[col]
+        g = gcd(a, b)
+        if g != a:
+            a //= g
+            for c in row:
+                row[c] *= a
+        b //= g
+        for c, v in piv.items():
+            nv = row.get(c, 0) - b * v
+            if nv:
+                row[c] = nv
+            else:
+                del row[c]
+        if row:
+            g = gcd(*row.values())
+            if g != 1:
+                for c in row:
+                    row[c] //= g
+        return row
+
+    def reduce(self, vec: dict) -> dict:
+        """Return vec with its leading column reduced past every pivot.
+
+        Result is empty iff vec lies in the current row space.  Over Q the
+        result is a primitive integer vector, a nonzero multiple of the
+        reduced vector.
+        """
+        p = self.field.p
+        if p is not None:
+            row = {c: v % p for c, v in vec.items() if v % p}
+        else:
+            row = {c: v for c, v in vec.items() if v}
+            if any(type(v) is not int for v in row.values()):
+                den = lcm(*(v.denominator for v in row.values()))
+                row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+            if row:
+                g = gcd(*row.values())
+                if g != 1:
+                    row = {c: v // g for c, v in row.items()}
+        pivots = self.pivots
+        while row:
+            col = min(row)
+            piv = pivots.get(col)
+            if piv is None:
+                break
+            row = self._eliminate(row, piv, col)
         return row
 
     def insert(self, vec: dict) -> bool:
@@ -152,13 +206,21 @@ class EchelonBasis:
         if not row:
             return False
         col = min(row)
-        inv = self.field.inv(row[col])
-        self.pivots[col] = {c: self.field.mul(inv, v) for c, v in row.items()}
+        f = self.field
+        if f.p is not None:
+            inv = f.inv(row[col])
+            row = {c: f.mul(inv, v) for c, v in row.items()}
+        elif row[col] < 0:
+            row = {c: -v for c, v in row.items()}
+        self.pivots[col] = row
         return True
 
     def reduced_rows(self) -> list[dict]:
-        """Fully back-reduced (RREF) rows, sorted by pivot column."""
-        f = self.field
+        """Fully back-reduced (RREF) rows, sorted by pivot column.
+
+        Over Q the integer rows are divided by their pivot entries, so
+        the result holds Fractions with every pivot equal to 1.
+        """
         cols = sorted(self.pivots)
         final = {}  # rows with a larger pivot, already fully reduced
         for col in reversed(cols):
@@ -166,15 +228,11 @@ class EchelonBasis:
             # a final row holds no pivot column but its own, so clearing
             # one pivot column never brings another into the row
             for pc in row.keys() & final.keys():
-                coeff = row[pc]
-                for c, v in final[pc].items():
-                    nv = f.sub(row.get(c, f.zero()), f.mul(coeff, v))
-                    if nv:
-                        row[c] = nv
-                    else:
-                        row.pop(c, None)
+                row = self._eliminate(row, final[pc], pc)
             final[col] = row
-        return [final[c] for c in cols]
+        if self.field.p is not None:
+            return [final[c] for c in cols]
+        return [{c: Fraction(v, final[col][col]) for c, v in final[col].items()} for col in cols]
 
 
 class DenseMatrix:

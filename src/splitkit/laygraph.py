@@ -10,7 +10,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .caps import VERTEX_CAP, size_cap
+from .caps import PATH_CAP, VERTEX_CAP, size_cap
 from .errors import SizeLimit, ValidationError
 from .exactlinalg import EchelonBasis, FieldSpec
 
@@ -186,6 +186,29 @@ def require_valid(g: LayeredGraph):
     rep = validate(g)
     if not rep.ok:
         raise ValidationError("; ".join(rep.violations))
+
+
+def count_down_paths(g: LayeredGraph) -> int:
+    """Number of downward paths of one or more positive-level vertices.
+
+    These are the path words of the vertex algebra, every degree at once,
+    and every facet of a down-set complex Delta(v, k) is one of them with
+    v dropped.  One pass up the levels: the paths starting at v are v
+    alone plus v followed by a path starting at a positive-level child.
+    """
+    paths = {}
+    for v, lv in g.vertices:  # sorted by level, so children first
+        if lv > 0:
+            paths[v] = 1 + sum(paths.get(w, 0) for w in g.children(v))
+    return sum(paths.values())
+
+
+def require_path_cap(g: LayeredGraph):
+    """Refuse a graph with more downward paths than the path cap, before any is built."""
+    cap = size_cap(PATH_CAP)
+    total = count_down_paths(g)
+    if total > cap:
+        raise SizeLimit(f"{total} downward paths exceeds cap {cap}")
 
 
 def boolean_graph(n: int) -> LayeredGraph:

@@ -1,19 +1,22 @@
 """Simplicial homology over a field, order complexes, local homology, and
 the topological side of the discrepancy.
 
-Boundary maps are lists of sparse signed columns whose ranks come from
-the exact EchelonBasis kernel; Betti numbers come from rank-nullity.
-Over a field, cohomology dimensions equal homology dimensions
-degreewise, so the homological ranks serve for both.  The down-set
-complexes Delta(v, k) of the discrepancy are read from the graph's own
-edges as downward paths; `order_complex` is the general construction.
+Boundary maps are lists of sparse signed integer columns whose ranks
+come from the exact EchelonBasis kernel (primitive integer rows over Q);
+Betti numbers come from rank-nullity.  Ranks are taken from the top
+dimension down with clearing: a column of D_k whose index is a pivot of
+D_{k+1} is skipped, which leaves the rank unchanged.  Over a field,
+cohomology dimensions equal homology dimensions degreewise, so the
+homological ranks serve for both.  The down-set complexes Delta(v, k)
+of the discrepancy are read from the graph's own edges as downward
+paths; `order_complex` is the general construction.
 """
 
 from dataclasses import dataclass
 
 from .errors import FaceNotInComplex, HypothesisViolation
 from .exactlinalg import EchelonBasis, FieldSpec
-from .laygraph import LayeredGraph, SimplicialComplex, _codim1_reached, is_pure, require_valid
+from .laygraph import LayeredGraph, SimplicialComplex, _codim1_reached, is_pure, require_path_cap, require_valid
 
 DISCREPANCY_CONVENTIONS = ("calibrated", "reduced-proper", "reduced-min", "unreduced-min")
 
@@ -36,49 +39,60 @@ class BettiVector:
 def boundary_columns(x: SimplicialComplex, field: FieldSpec, reduced: bool) -> list:
     """[D_0, ..., D_dim] with D_k the boundary map C_k -> C_{k-1}.
 
-    Each D_k is a list of sparse columns {row: +-1}, one per k-simplex.
-    D_0 is the augmentation row when reduced, else a map to the zero
-    space (empty columns).  Simplices are ordered by sorted vertex tuple;
-    the sign of dropping position j is (-1)^j.  The composite of
-    consecutive maps is checked to vanish.
+    Each D_k is a list of sparse columns {row: +-1}, one per k-simplex,
+    with plain int entries (over GF(p), -1 is written p - 1).  D_0 is the
+    augmentation row when reduced, else a map to the zero space (empty
+    columns).  Simplices are ordered by sorted vertex tuple; the sign of
+    dropping position j is (-1)^j.  The composite of consecutive maps is
+    checked to vanish.
     """
     bases = [x.faces_of_dim(k) for k in range(x.dim + 1)]
-    one = field.one()
-    maps = [[{0: one} if reduced else {} for _ in bases[0]]]
+    maps = [[{0: 1} if reduced else {} for _ in bases[0]]]
     for k in range(1, x.dim + 1):
         index = {s: i for i, s in enumerate(bases[k - 1])}
         cols = []
         for simplex in bases[k]:
             col = {}
-            sign = one
+            sign = 1
             for j in range(len(simplex)):
                 col[index[simplex[:j] + simplex[j + 1 :]]] = sign
                 sign = field.neg(sign)
             cols.append(col)
         maps.append(cols)
+    p = field.p
     for k in range(1, len(maps)):
         for col in maps[k]:
             image = {}
             for r, s in col.items():
                 for q, t in maps[k - 1][r].items():
-                    image[q] = field.add(image.get(q, field.zero()), field.mul(s, t))
-            if any(image.values()):
+                    image[q] = image.get(q, 0) + s * t
+            if any(v % p if p else v for v in image.values()):
                 raise AssertionError(f"boundary composite at dimension {k} is nonzero")
     return maps
 
 
 def betti(x: SimplicialComplex, field: FieldSpec, reduced: bool = False) -> BettiVector:
-    """Betti numbers b_i = nullity(D_i) - rank(D_{i+1}) for i = 0..dim."""
+    """Betti numbers b_i = nullity(D_i) - rank(D_{i+1}) for i = 0..dim.
+
+    Ranks are taken from the top down with clearing: column i of D_k is
+    skipped when i is a pivot of D_{k+1}'s echelon basis.  That pivot is
+    the smallest index of a boundary z = c e_i + sum_{l>i} c_l e_l with
+    c != 0, and D_k z = 0, so D_k e_i lies in the span of the columns
+    l > i; by descending induction over the skipped i, each lies in the
+    span of the kept columns, so skipping leaves the rank unchanged.
+    """
     if x.is_empty():
         return BettiVector((), reduced, field)
     maps = boundary_columns(x, field, reduced)
-    ranks = []
-    for cols in maps:
+    ranks = [0] * (len(maps) + 1)
+    cleared = set()
+    for k in reversed(range(len(maps))):
         basis = EchelonBasis(field)
-        for col in cols:
-            basis.insert(col)
-        ranks.append(basis.rank)
-    ranks.append(0)
+        for i, col in enumerate(maps[k]):
+            if i not in cleared:
+                basis.insert(col)
+        ranks[k] = basis.rank
+        cleared = basis.pivots.keys()
     b = tuple(len(maps[i]) - ranks[i] - ranks[i + 1] for i in range(len(maps)))
     return BettiVector(b, reduced, field)
 
@@ -240,11 +254,13 @@ def discrepancy_rhs_table(g: LayeredGraph, field: FieldSpec, convention: str = "
 
     which matches the series side exactly on every corpus graph.  The
     three plain-sum conventions are kept for comparison; none of them
-    survives calibration.
+    survives calibration.  The number of downward paths, which bounds
+    the facets of every Delta(v, k), is capped before any is built.
     """
     require_valid(g)
     if convention not in DISCREPANCY_CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
+    require_path_cap(g)
     rank = {v: i for i, (v, _) in enumerate(g.vertices)}
     return [
         sum(_vertex_contribution(g, rank, v, k, field, convention) for v, lv in g.vertices if lv >= k)

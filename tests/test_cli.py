@@ -203,6 +203,14 @@ def test_boolean_over_vertex_cap_is_usage_error(capsys, monkeypatch):
     assert err == "splitkit: 8192 subsets exceeds cap 4096\n"
 
 
+@pytest.mark.parametrize("command", [("discrepancy", "--field", "gf2"), ("koszul-check", "--field", "q")])
+def test_boolean_over_path_cap_is_usage_error(capsys, monkeypatch, command):
+    monkeypatch.delenv("SPLITKIT_SIZE_CAP", raising=False)
+    code, out, err = run(capsys, *command, "--boolean", "8")
+    assert code == 2 and out == ""
+    assert err == "splitkit: 188255 downward paths exceeds cap 100000\n"
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "koszul-check", "--graph", "/nonexistent.json", "--field", "q")
     assert code == 2 and "no such file" in err

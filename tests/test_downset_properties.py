@@ -52,12 +52,12 @@ def layered_graphs(draw, heights=(2, 5), widths=(1, 4)):
 def codim1_connected_complexes(draw):
     """Pure complexes of dimension 1-3 on 5-8 vertices: random facets, cut
     down to those joined to the first one through codimension-one faces.
-    Dimension 3 draws at most three facets: with four, the cone
-    conventions over Q can already take seconds."""
+    Dimension 3 draws at most four facets, which keeps the cone
+    conventions, eliminated like every other, cheap over Q."""
     n = draw(st.integers(5, 8))
     dim = draw(st.sampled_from((1, 2, 3)))
     simplices = list(itertools.combinations(range(n), dim + 1))
-    sizes = (4, 7) if dim < 3 else (2, 3)
+    sizes = (4, 7) if dim < 3 else (2, 4)
     drawn = draw(st.lists(st.sampled_from(simplices), min_size=sizes[0], max_size=sizes[1], unique=True))
     facets = drawn[:1]
     for facet in facets:  # grows while it is walked
@@ -126,7 +126,7 @@ def test_path_words_equal_the_full_tensor_quotient(g):
         assert dims == graded_dims(vertex_algebra_presentation(g, field), g.height + 1), field
 
 
-@settings(max_examples=45, deadline=None, database=None)
+@settings(max_examples=100, deadline=None, database=None)
 @seed(20090936)
 @given(codim1_connected_complexes(), st.booleans())
 def test_discrepancy_sides_agree_on_face_posets_and_plain_sums_miss(x, hatted):

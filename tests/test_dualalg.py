@@ -97,6 +97,18 @@ def test_graded_dims_cap(monkeypatch):
         graded_dims(free, 4)
 
 
+def test_path_cap_is_checked_on_both_sides(monkeypatch):
+    # boolean_3 has 22 downward paths of positive-level vertices
+    g = boolean_graph(3)
+    monkeypatch.setenv("SPLITKIT_SIZE_CAP", "22")
+    assert vertex_hilbert(g, GF2).coeffs == (1, 7, 5, 1)
+    assert discrepancy_rhs_table(g, GF2) == [0, 0, 0, 0]
+    monkeypatch.setenv("SPLITKIT_SIZE_CAP", "21")
+    for side in (vertex_hilbert, discrepancy_rhs_table):
+        with pytest.raises(SizeLimit, match="22 downward paths exceeds cap 21"):
+            side(g, GF2)
+
+
 def test_quadratic_dual_extremes():
     free = QuadraticPresentation.make(("x", "y"), [], RATIONALS)
     dual = quadratic_dual(free)

@@ -6,11 +6,15 @@ matrix products by `DenseMatrix.__mul__`, ranks and singularity from
 Leibniz determinants of minors, and Betti numbers from coning and the
 Euler characteristic.  The sparse-row tests check `reduced_rows`,
 `annihilator_basis` and the quadratic dual against the RREF definition,
-dot products computed here, and ranks from `insert` alone.
+dot products computed here, and ranks from `insert` alone.  Over Q the
+kernel eliminates on primitive integer rows; rows with non-integer
+Fraction entries check that path against the minor oracle, and `betti`,
+which skips cleared columns, is checked against ranks of every column.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, seed, settings
@@ -20,7 +24,7 @@ from splitkit.dualalg import QuadraticPresentation, quadratic_dual
 from splitkit.errors import SingularMatrix
 from splitkit.exactlinalg import GF2, GF3, RATIONALS, DenseMatrix, EchelonBasis, annihilator_basis
 from splitkit.laygraph import SimplicialComplex
-from splitkit.topo import betti, euler_characteristic
+from splitkit.topo import betti, boundary_columns, euler_characteristic
 
 FIELDS = (RATIONALS, GF2, GF3)
 SETTINGS = settings(max_examples=150, deadline=None, database=None)
@@ -175,3 +179,42 @@ def test_double_dual_restores_relations_and_make_checks_range(system):
     for bad in (-1, dim):
         with pytest.raises(ValueError):
             QuadraticPresentation.make(gens, rows + [{bad: 1}], field)
+
+
+@SETTINGS
+@seed(20090917)
+@given(complexes, st.sampled_from(FIELDS), st.booleans())
+def test_cleared_betti_equals_ranks_of_every_column(x, field, reduced):
+    maps = boundary_columns(x, field, reduced)
+    ranks = [_rank(cols, field) for cols in maps] + [0]
+    expected = tuple(len(maps[i]) - ranks[i] - ranks[i + 1] for i in range(len(maps)))
+    assert betti(x, field, reduced).b == expected
+
+
+fraction_rows = st.lists(
+    st.lists(st.builds(Fraction, st.integers(-3, 3), st.integers(1, 5)), min_size=5, max_size=5),
+    min_size=1,
+    max_size=4,
+)
+
+
+@SETTINGS
+@seed(20090918)
+@given(fraction_rows, st.integers(1, 5))
+def test_fraction_rows_rank_and_rref(rows, cols):
+    rows = [r[:cols] for r in rows]
+    basis = EchelonBasis(RATIONALS)
+    for r in rows:
+        basis.insert({j: v for j, v in enumerate(r) if v})
+    assert basis.rank == _minor_rank(DenseMatrix(rows, RATIONALS))
+    rref = basis.reduced_rows()
+    pivots = [min(r) for r in rref]
+    assert len(rref) == basis.rank and pivots == sorted(set(pivots))
+    for r, pc in zip(rref, pivots):
+        assert all(type(v) is Fraction and v for v in r.values())
+        assert r[pc] == 1 and not any(other in r for other in pivots if other != pc)
+    # the RREF definition: every row is the combination of the RREF rows
+    # whose coefficients are its own entries in the pivot columns
+    for r in rows:
+        combo = [sum((r[pc] * R.get(j, 0) for pc, R in zip(pivots, rref)), Fraction(0)) for j in range(cols)]
+        assert combo == r

@@ -4,6 +4,7 @@ from splitkit.errors import SizeLimit, ValidationError
 from splitkit.fixtures import (
     boundary_delta3,
     delta2,
+    full_graph_corpus,
     nonuniform_graph,
     rp2_six,
     triangle_plus_edge,
@@ -14,6 +15,7 @@ from splitkit.laygraph import (
     SimplicialComplex,
     boolean_graph,
     complex_graph,
+    count_down_paths,
     hat,
     is_codim1_connected,
     is_pure,
@@ -187,3 +189,27 @@ def test_graph_is_immutable():
     g = boolean_graph(2)
     with pytest.raises(AttributeError):
         g.height = 7
+
+
+def _enumerated_down_paths(g):
+    """Every downward path of positive-level vertices, walked one by one."""
+    paths = []
+
+    def walk(path):
+        paths.append(path)
+        for w in g.children(path[-1]):
+            if g.level(w) > 0:
+                walk(path + (w,))
+
+    for v, lv in g.vertices:
+        if lv > 0:
+            walk((v,))
+    return paths
+
+
+def test_down_path_count_equals_enumeration():
+    for name, g in full_graph_corpus() + [("nonuniform", nonuniform_graph()), ("subspace_3_2", subspace_graph(3, 2))]:
+        assert count_down_paths(g) == len(_enumerated_down_paths(g)), name
+    # the default cap of 100,000 lies between these two
+    assert count_down_paths(boolean_graph(7)) == 23_500
+    assert count_down_paths(boolean_graph(8)) == 188_255
