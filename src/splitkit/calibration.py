@@ -14,16 +14,15 @@ from dataclasses import dataclass
 from .dualalg import discrepancy_lhs_table
 from .exactlinalg import GF2, RATIONALS
 from .fixtures import full_graph_corpus
+from .laygraph import subspace_graph
 from .topo import DISCREPANCY_CONVENTIONS, discrepancy_rhs_table
 
 
 def default_cases() -> list:
-    """(name, graph, field) triples: the whole corpus over Q and GF(2)."""
-    cases = []
-    for name, g in full_graph_corpus():
-        cases.append((f"{name}/Q", g, RATIONALS))
-        cases.append((f"{name}/GF2", g, GF2))
-    return cases
+    """(name, graph, field) triples: the corpus and the subspace lattices
+    of GF(2)^3, GF(3)^3 and GF(2)^4, each over Q and GF(2)."""
+    graphs = full_graph_corpus() + [(f"subspace_{n}_{q}", subspace_graph(n, q)) for n, q in ((3, 2), (3, 3), (4, 2))]
+    return [(f"{name}/{fname}", g, field) for name, g in graphs for fname, field in (("Q", RATIONALS), ("GF2", GF2))]
 
 
 @dataclass(frozen=True)

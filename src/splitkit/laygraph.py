@@ -3,7 +3,10 @@
 A layered graph is a finite DAG whose vertices carry levels and whose
 edges drop exactly one level.  Constructors cover the subset lattice,
 the subspace lattice of GF(q)^n, face posets of simplicial complexes,
-and the one-vertex-on-top completion of a graph.
+and the one-vertex-on-top completion of a graph.  The subspace lattice
+needs no elimination: the hyperplanes of the row space of an RREF basis
+B are the row spaces of M·B mod q for the RREF matrices M with one row
+fewer than B, and each M·B is again in RREF.
 """
 
 import itertools
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 from .caps import PATH_CAP, VERTEX_CAP, size_cap
 from .errors import SizeLimit, ValidationError
-from .exactlinalg import EchelonBasis, FieldSpec
+from .exactlinalg import FieldSpec
 
 MIN_ID = "∅"
 TOP_ID = "M"
@@ -236,55 +239,53 @@ def _gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
+def _rref_bases(k: int, n: int, q: int):
+    """Every k x n matrix over GF(q) in reduced row echelon form, as row tuples."""
+    for pivots in itertools.combinations(range(n), k):
+        free_cells = [(i, j) for i in range(k) for j in range(pivots[i] + 1, n) if j not in pivots]
+        for values in itertools.product(range(q), repeat=len(free_cells)):
+            rows = [[0] * n for _ in range(k)]
+            for i, p in enumerate(pivots):
+                rows[i][p] = 1
+            for (i, j), val in zip(free_cells, values):
+                rows[i][j] = val
+            yield tuple(tuple(r) for r in rows)
+
+
 def subspace_graph(n: int, q: int) -> LayeredGraph:
     """Lattice of subspaces of GF(q)^n: level = dimension, edges = codim-1.
 
     Subspace ids are the rows of the reduced row echelon basis, e.g.
     "⟨110,011⟩"; single-digit entries, so q < 10.
+
+    The covers of a k-space with RREF basis B are its hyperplanes, the
+    row spaces of M·B mod q for the RREF (k-1) x k matrices M, one M per
+    hyperplane.  The pivot columns p_1 < ... < p_k of B form the identity,
+    so row i of M·B has its leading 1 in column p_{m_i}, m_i the i-th
+    pivot of M, and column p_{m_i} of M·B is column m_i of M: M·B is in
+    RREF already, and its id is looked up without elimination.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if q >= 10:
         raise ValueError("subspace ids use single-digit entries; q must be < 10")
-    field = FieldSpec(q)
+    FieldSpec(q)  # refuses a q that is not prime
     cap = size_cap(VERTEX_CAP)
     total = sum(_gaussian_binomial(n, k, q) for k in range(n + 1))
     if total > cap:
         raise SizeLimit(f"{total} subspaces exceeds cap {cap}")
 
-    def rref_bases(k):
-        if k == 0:
-            yield ()
-            return
-        for pivots in itertools.combinations(range(n), k):
-            free_cells = [
-                (i, j)
-                for i in range(k)
-                for j in range(pivots[i] + 1, n)
-                if j not in pivots
-            ]
-            for values in itertools.product(range(q), repeat=len(free_cells)):
-                rows = [[0] * n for _ in range(k)]
-                for i, p in enumerate(pivots):
-                    rows[i][p] = 1
-                for (i, j), val in zip(free_cells, values):
-                    rows[i][j] = val
-                yield tuple(tuple(r) for r in rows)
-
-    def space_id(rows):
-        return "⟨" + ",".join("".join(str(x) for x in r) for r in rows) + "⟩"
-
-    by_dim = [list(rref_bases(k)) for k in range(n + 1)]
-    vertices = [(space_id(rows), k) for k in range(n + 1) for rows in by_dim[k]]
+    by_dim = [list(_rref_bases(k, n, q)) for k in range(n + 1)]
+    ids = {rows: "⟨" + ",".join("".join(map(str, r)) for r in rows) + "⟩" for bases in by_dim for rows in bases}
+    vertices = [(ids[rows], k) for k in range(n + 1) for rows in by_dim[k]]
     edges = []
     for k in range(1, n + 1):
+        hyperplanes = list(_rref_bases(k - 1, k, q))
+        rows = {r for m in hyperplanes for r in m}  # the rows of every M, each multiplied once per B
         for big in by_dim[k]:
-            basis = EchelonBasis(field)
-            for row in big:
-                basis.insert({j: v for j, v in enumerate(row) if v})
-            for small in by_dim[k - 1]:
-                if all(not basis.reduce({j: v for j, v in enumerate(r) if v}) for r in small):
-                    edges.append((space_id(big), space_id(small)))
+            cols = tuple(zip(*big))
+            image = {r: tuple(sum(a * b for a, b in zip(r, col)) % q for col in cols) for r in rows}
+            edges += [(ids[big], ids[tuple(image[r] for r in m)]) for m in hyperplanes]
     return LayeredGraph(vertices, edges)
 
 

@@ -5,7 +5,8 @@ includes the diagonal pairs (constant term = number of vertices): the
 sum without them contradicts the closed-form oracle already at height 1.
 """
 
-from .errors import DegreeMismatch, NegativeDimension, NonzeroRemainder
+from .caps import PAIR_CAP, size_cap
+from .errors import DegreeMismatch, NegativeDimension, NonzeroRemainder, SizeLimit
 from .laygraph import LayeredGraph, require_valid
 from .seriespoly import IntPolynomial, TruncatedSeries, poly_divide, series_inverse, series_mul
 
@@ -21,10 +22,18 @@ def mobius_value(g: LayeredGraph, v: str, w: str) -> int:
 
 def _mu_table(g: LayeredGraph) -> dict:
     """All Möbius values mu(v, w) for w <= v, by the recursion on the lower
-    argument: mu(v, w) = -sum of mu(v, u) over w < u <= v.  Cached on g."""
+    argument: mu(v, w) = -sum of mu(v, u) over w < u <= v.  Cached on g.
+
+    Refuses a graph with more comparable pairs w < v than the pair cap
+    before the table is filled; its cost grows faster than the pairs.
+    """
     if g._mu is not None:
         return g._mu
     desc = g.descendants()
+    cap = size_cap(PAIR_CAP)
+    pairs = sum(len(below) for below in desc.values())
+    if pairs > cap:
+        raise SizeLimit(f"{pairs} comparable pairs exceeds cap {cap}")
     table = {}
     for v, _ in g.vertices:
         table[(v, v)] = 1

@@ -211,6 +211,19 @@ def test_boolean_over_path_cap_is_usage_error(capsys, monkeypatch, command):
     assert err == "splitkit: 188255 downward paths exceeds cap 100000\n"
 
 
+def test_boolean_over_pair_cap_is_usage_error(capsys, monkeypatch):
+    monkeypatch.delenv("SPLITKIT_SIZE_CAP", raising=False)
+    code, out, err = run(capsys, "mobius", "--boolean", "11")
+    assert code == 2 and out == ""
+    assert err == "splitkit: 175099 comparable pairs exceeds cap 100000\n"
+
+
+def test_composite_subspace_modulus_is_usage_error(capsys):
+    code, out, err = run(capsys, "graph", "--subspace", "2", "4")
+    assert code == 2 and out == ""
+    assert err == "splitkit: modulus 4 is not prime\n"
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "koszul-check", "--graph", "/nonexistent.json", "--field", "q")
     assert code == 2 and "no such file" in err

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from splitkit.errors import SizeLimit, ValidationError
@@ -91,6 +93,62 @@ def test_subspace_graph_cap(monkeypatch):
     assert len(subspace_graph(2, 2).vertices) == 5
     with pytest.raises(SizeLimit):
         subspace_graph(2, 3)
+
+
+def _q_integer(m: int, q: int) -> int:
+    """[m]_q = 1 + q + ... + q^(m-1)."""
+    return sum(q**i for i in range(m))
+
+
+def _gaussian(n: int, k: int, q: int) -> int:
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("n, q", [(n, q) for q, top in ((2, 5), (3, 4), (5, 3), (7, 2)) for n in range(1, top + 1)])
+def test_subspace_graph_equals_span_oracle(n, q):
+    # each k-space is the set of its q^k vectors; a (k-1)-space lies under
+    # it iff all its basis rows are in that set
+    g = subspace_graph(n, q)
+    rows, span = {}, {}
+    for v, k in g.vertices:
+        basis = [tuple(int(c) for c in r) for r in v[1:-1].split(",")] if k else []
+        assert len(basis) == k and all(len(r) == n for r in basis)
+        rows[v] = basis
+        span[v] = {
+            tuple(sum(c * x for c, x in zip(coeffs, col)) % q for col in zip(*basis)) if k else (0,) * n
+            for coeffs in itertools.product(range(q), repeat=k)
+        }
+        assert len(span[v]) == q**k  # the id's rows are independent
+    for k in range(n + 1):
+        level = g.level_vertices(k)
+        assert len(level) == _gaussian(n, k, q)
+        assert len({frozenset(span[v]) for v in level}) == len(level)  # so every k-space occurs once
+        for v in level:
+            assert len(g.children(v)) == _q_integer(k, q)
+            assert len(g.parents(v)) == _q_integer(n - k, q)
+    covers = {
+        (big, small)
+        for k in range(1, n + 1)
+        for big in g.level_vertices(k)
+        for small in g.level_vertices(k - 1)
+        if all(r in span[big] for r in rows[small])
+    }
+    assert set(g.edges) == covers
+
+
+@pytest.mark.parametrize("q", [0, 1, 4, 9])
+def test_subspace_graph_refuses_composite_q(q):
+    with pytest.raises(ValueError, match=f"^modulus {q} is not prime$"):
+        subspace_graph(2, q)
+
+
+def test_subspace_graph_refuses_two_digit_q():
+    with pytest.raises(ValueError, match="single-digit entries; q must be < 10"):
+        subspace_graph(2, 10)
 
 
 def test_boolean_graph_cap(monkeypatch):

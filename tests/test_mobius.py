@@ -1,6 +1,6 @@
 import pytest
 
-from splitkit.errors import DegreeMismatch
+from splitkit.errors import DegreeMismatch, SizeLimit
 from splitkit.fixtures import boundary_delta3, delta2, full_graph_corpus, rp2_six, single_edge_graph
 from splitkit.laygraph import boolean_graph, complex_graph, hat
 from splitkit.mobius import (
@@ -12,6 +12,15 @@ from splitkit.mobius import (
     subset_lattice_series,
 )
 from splitkit.seriespoly import IntPolynomial, poly_divide, series_inverse, series_mul
+
+
+def test_mobius_table_pair_cap(monkeypatch):
+    # boolean_3 has 3^3 - 2^3 = 19 comparable pairs w < v
+    monkeypatch.setenv("SPLITKIT_SIZE_CAP", "19")
+    assert graded_mobius(boolean_graph(3)) == IntPolynomial([8, -12, 6, -1])
+    monkeypatch.setenv("SPLITKIT_SIZE_CAP", "18")
+    with pytest.raises(SizeLimit, match="^19 comparable pairs exceeds cap 18$"):
+        graded_mobius(boolean_graph(3))
 
 
 def test_mobius_point_values():
