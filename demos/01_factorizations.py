@@ -9,9 +9,15 @@ Vandermonde matrices, and all orderings yield the same coefficients.
 The pseudo-root table reaches the same conjugates by the diamond
 recurrence, one small inverse per step; the quasideterminants and block
 Vandermondes shown here are the definition it is tested against.
+
+The agreement of all n! orderings is decided by the diamonds: one
+exchange identity per adjacent swap of two factors, C(n,2) . 2^(n-2) of
+them, next to one block Vandermonde solve for the polynomial.  The
+expansion of every ordering stays as the oracle.
 """
 
 import itertools
+import math
 import random
 
 from splitkit import (
@@ -19,7 +25,7 @@ from splitkit import (
     block_vandermonde,
     char_poly,
     check_all_orderings,
-    check_diamond,
+    check_diamonds,
     expand_factorization,
     genericity_check,
     random_generic_roots,
@@ -60,19 +66,24 @@ rs = random_generic_roots(3, 2, rng)
 print("roots:")
 for i in (1, 2, 3):
     print("  ", show(rs.root(i)))
-chk = check_all_orderings(rs)
-print(f"n! = {len(chk.orderings)} factorizations coefficient-identical: {chk.passed}")
+oracle = check_all_orderings(rs)
+print(f"oracle: all n! = {len(oracle.orderings)} factorizations coefficient-identical: {oracle.passed}")
 same = all(
     expand_factorization(rs, o) == viete_coefficients(rs, o)
     for o in itertools.permutations((1, 2, 3))
 )
 print("expanding the product reproduces the symmetric-function sums:", same)
-diamonds = all(
-    check_diamond(rs, a, i, j)
-    for a in ((), (1,), (2,), (3,))
-    for i, j in itertools.combinations([x for x in (1, 2, 3) if x not in a], 2)
-)
-print("every local exchange identity (diamond) holds exactly:", diamonds)
+chk = check_diamonds(rs)
+print(f"diamonds: {chk.diamonds} local exchange identities, failed: {list(chk.failed)}; verdict: {chk.passed}")
+print("one block Vandermonde solve (no pseudo-roots) gives the same polynomial:", chk.vandermonde_agrees)
+same = (chk.passed, chk.polynomial) == (oracle.passed, oracle.polynomial)
+print("diamond verdict and polynomial equal the oracle's:", same)
 print("common polynomial coefficients:")
 for k in (1, 2, 3):
     print(f"  a{k} =", show(chk.polynomial.coefficient(k)))
+print()
+
+print("== Why diamonds: adjacent swaps generate all orderings")
+for n in (3, 4, 5, 6):
+    chk = check_diamonds(random_generic_roots(n, 1, rng))
+    print(f"n = {n}: {math.factorial(n):>3} orderings, {chk.diamonds:>3} diamonds, verdict {chk.passed}")

@@ -18,7 +18,6 @@ from .errors import (
     GenericityFailure,
     HypothesisViolation,
     NegativeDimension,
-    NegativeDiscrepancy,
     NonUnitConstantTerm,
     NonzeroRemainder,
     ParseError,
@@ -59,6 +58,7 @@ from .mobius import (
     subset_lattice_series,
 )
 from .ncfactor import (
+    DiamondCheck,
     GenericityReport,
     MatrixPolynomial,
     OrderingCheck,
@@ -67,10 +67,12 @@ from .ncfactor import (
     block_vandermonde,
     check_all_orderings,
     check_diamond,
+    check_diamonds,
     expand_factorization,
     genericity_check,
     quasideterminant,
     random_generic_roots,
+    vandermonde_polynomial,
     viete_coefficients,
 )
 from .seriespoly import (

@@ -21,7 +21,6 @@ from .errors import (
     GenericityFailure,
     HypothesisViolation,
     NegativeDimension,
-    NegativeDiscrepancy,
     NonzeroRemainder,
     SizeLimit,
     SplitkitError,
@@ -42,7 +41,7 @@ from .laygraph import (
     validate,
 )
 from .mobius import graded_mobius, hilbert_series, hilbert_series_inverse
-from .ncfactor import RootSystem, check_all_orderings, genericity_check
+from .ncfactor import RootSystem, check_diamonds, genericity_check
 from .seriespoly import coeffs_as_strings
 from .topo import DISCREPANCY_CONVENTIONS, betti, discrepancy_rhs_table, euler_characteristic, predict_koszulity
 
@@ -50,7 +49,6 @@ _MATH_ERRORS = (
     GenericityFailure,
     HypothesisViolation,
     NegativeDimension,
-    NegativeDiscrepancy,
     NonzeroRemainder,
     DegreeMismatch,
 )
@@ -296,15 +294,18 @@ def _cmd_factor(args, started) -> int:
         payload["pass"] = False
         _emit(args, _report(args, "factor", desc, payload, started))
         return 1
-    chk = check_all_orderings(rs)
+    chk = check_diamonds(rs)
 
     def render(poly):
         return [[[str(v) for v in row] for row in c.entries] for c in poly.coefficients]
 
     payload["pass"] = chk.passed
-    payload["num_orderings"] = len(chk.orderings)
+    payload["num_orderings"] = math.factorial(rs.n)
     payload["coefficients"] = render(chk.polynomial) if chk.passed else None
     payload["mismatched_orderings"] = [list(o) for o in chk.mismatched]
+    payload["diamonds"] = chk.diamonds
+    payload["failed_diamonds"] = [[list(a), i, j] for a, i, j in chk.failed]
+    payload["vandermonde_agrees"] = chk.vandermonde_agrees
     _emit(args, _report(args, "factor", desc, payload, started))
     return 0 if chk.passed else 1
 

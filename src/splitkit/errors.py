@@ -48,10 +48,6 @@ class DegreeMismatch(SplitkitError):
     """A polynomial has unexpected degree (should equal graph height)."""
 
 
-class NegativeDiscrepancy(SplitkitError):
-    """A series/algebra discrepancy coefficient came out negative."""
-
-
 class FaceNotInComplex(SplitkitError):
     """A simplex passed to link() is not a face of the complex."""
 

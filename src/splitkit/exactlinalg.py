@@ -375,22 +375,29 @@ class DenseMatrix:
         ann = annihilator_basis(rows, self.cols, self.field)
         return [[vec.get(j, zero) for j in range(self.cols)] for vec in ann]
 
-    def inverse(self) -> "DenseMatrix":
-        """Right half of the reduced row echelon form of [self | I]."""
+    def solve(self, rhs: "DenseMatrix") -> "DenseMatrix":
+        """The X with self . X = rhs: right half of the reduced row echelon form of [self | rhs]."""
         if self.rows != self.cols:
-            raise ValueError("inverse of a non-square matrix")
+            raise ValueError("solve with a non-square matrix")
+        if rhs.rows != self.rows or rhs.field != self.field:
+            raise ValueError("incompatible shapes/fields for solve")
         f = self.field
         n = self.rows
         basis = EchelonBasis(f)
-        for i, row in enumerate(self.entries):
+        for row, rhs_row in zip(self.entries, rhs.entries):
             vec = {j: v for j, v in enumerate(row) if v}
-            vec[n + i] = f.one()
+            vec.update((n + j, v) for j, v in enumerate(rhs_row) if v)
             basis.insert(vec)
-        if any(c >= n for c in basis.pivots):
+        if basis.rank < n or any(c >= n for c in basis.pivots):  # some pivot is not in self's columns
             raise SingularMatrix(f"matrix of size {n} has rank < {n}")
         return DenseMatrix(
-            [[row.get(n + j, f.zero()) for j in range(n)] for row in basis.reduced_rows()], f, shape=(n, n)
+            [[row.get(n + j, f.zero()) for j in range(rhs.cols)] for row in basis.reduced_rows()],
+            f,
+            shape=(n, rhs.cols),
         )
+
+    def inverse(self) -> "DenseMatrix":
+        return self.solve(DenseMatrix.identity(self.rows, self.field))
 
     def to_lists(self):
         return [list(r) for r in self.entries]

@@ -14,6 +14,13 @@ Vandermonde.  `block_vandermonde` and the quasideterminants stay as the
 independent definition: tests check the table against them, and
 `genericity_check` falls back on their ranks to name the singular
 configurations of a degenerate system.
+
+`check_diamonds` decides whether the n! factorizations agree from the
+C(n,2) . 2^(n-2) diamonds, each an adjacent swap of two factors, and
+compares the polynomial with `vandermonde_polynomial`, one block
+Vandermonde solve that never reads the table.  `check_all_orderings`
+expands every ordering; it runs only when a diamond fails, to name the
+mismatched orderings, and stays as the oracle with `expand_factorization`.
 """
 
 import itertools
@@ -305,6 +312,69 @@ def check_diamond(rs: RootSystem, a, i: int, j: int) -> bool:
     xij = table.pseudo_root(a | {i}, j)
     xji = table.pseudo_root(a | {j}, i)
     return (xij + xi == xji + xj) and (xij * xi == xji * xj)
+
+
+def vandermonde_polynomial(rs: RootSystem) -> MatrixPolynomial:
+    """The monic polynomial with right roots x_1..x_n, by one block Vandermonde solve.
+
+    Right evaluation at x_c is sum over m of a_m . x_c^(n-m) with a_0 = 1,
+    and block row r of W(1..n) holds the powers n-1-r, so the roots are
+    right roots exactly when [a_1 ... a_n] . W(1..n) = -[x_1^n ... x_n^n].
+    W(1..n) is invertible on generic input, and then this polynomial is
+    unique.  It never reads the pseudo-root table.
+    """
+    n, d = rs.n, rs.d
+    powers = [rs.root(i) ** n for i in range(1, n + 1)]
+    rhs = DenseMatrix([[-v for p in powers for v in p.entries[r]] for r in range(d)], RATIONALS)
+    try:  # transposed, W(1..n)^T . [a_1 ... a_n]^T = rhs^T is one square solve
+        row = block_vandermonde(rs, range(1, n + 1)).transpose().solve(rhs.transpose()).transpose().entries
+    except SingularMatrix as exc:
+        raise GenericityFailure(range(1, n + 1), "block Vandermonde W(1..n) is singular") from exc
+    return MatrixPolynomial(tuple(DenseMatrix([r[m * d : (m + 1) * d] for r in row], RATIONALS) for m in range(n)))
+
+
+@dataclass(frozen=True)
+class DiamondCheck:
+    """Outcome of the exchange identities on every diamond, against the Vandermonde side."""
+
+    passed: bool
+    polynomial: MatrixPolynomial | None  # along the identity ordering, when passed
+    diamonds: int
+    failed: tuple  # (A, i, j) with A sorted, in enumeration order
+    vandermonde_agrees: bool
+    mismatched: tuple  # as in OrderingCheck; enumerated only when a diamond fails
+
+
+def check_diamonds(rs: RootSystem) -> DiamondCheck:
+    """Decide whether all n! factorizations agree from C(n,2) . 2^(n-2) diamonds.
+
+    Swapping i and j right after the prefix set A changes only the two
+    middle factors of a factorization, from (t - x(A+i, j))(t - x(A, i))
+    to (t - x(A+j, i))(t - x(A, j)); the factors on either side are the
+    same, and monic polynomials are not zero divisors, so the two
+    products agree exactly when the diamond (A, i, j) holds.  Adjacent
+    transpositions generate S_n and every diamond is such a swap in some
+    ordering, so every diamond holds exactly when every ordering gives
+    the same polynomial: the verdict of `check_all_orderings`, which runs
+    only when a diamond fails, to name the mismatched orderings.
+
+    The diamonds with i, j > max(A) hold by construction of the table's
+    recurrence, so the identity ordering's polynomial must also equal
+    `vandermonde_polynomial`, which never reads the table.
+    """
+    indices = range(1, rs.n + 1)
+    diamonds = [
+        (a, i, j)
+        for size in range(rs.n - 1)
+        for a in itertools.combinations(indices, size)
+        for i, j in itertools.combinations([x for x in indices if x not in a], 2)
+    ]
+    failed = tuple(dm for dm in diamonds if not check_diamond(rs, *dm))
+    poly = viete_coefficients(rs, indices)
+    agrees = poly == vandermonde_polynomial(rs)
+    mismatched = check_all_orderings(rs).mismatched if failed else ()
+    passed = not failed and agrees
+    return DiamondCheck(passed, poly if passed else None, len(diamonds), failed, agrees, mismatched)
 
 
 def random_generic_roots(n: int, d: int, rng, bound: int = 4) -> RootSystem:

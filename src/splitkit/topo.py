@@ -222,6 +222,11 @@ def _down_paths(g: LayeredGraph, rank: dict, v: str, k: int) -> list:
 
 
 def _vertex_contribution(g, rank, v, k, field, convention) -> int:
+    if convention in ("reduced-min", "unreduced-min"):
+        # Delta(v, k) with the added minimum below every vertex is a cone (for
+        # k = 0, that point alone): its reduced Betti numbers vanish, and of
+        # its unreduced ones only b_0 = 1 survives
+        return int(convention == "unreduced-min")
     if convention == "calibrated":
         if k < 2:
             return 0
@@ -229,14 +234,9 @@ def _vertex_contribution(g, rank, v, k, field, convention) -> int:
         # the top degree k-2 never enters
         bv = betti(SimplicialComplex(_down_paths(g, rank, v, k)), field, reduced=True)
         return sum((1 if (k - 1 + i) % 2 == 0 else -1) * bv[i] for i in range(k - 2))
-    if k == 0:
-        # the truncated down-set is empty; only the added minimum remains
-        return 1 if convention == "unreduced-min" else 0
-    paths = _down_paths(g, rank, v, k)
-    if convention == "reduced-proper":
-        bv = betti(SimplicialComplex(paths if k > 1 else []), field, reduced=True)
-    else:  # the cone over Delta(v, k): one apex, -1, below every vertex label
-        bv = betti(SimplicialComplex([(-1,) + p for p in paths]), field, reduced=convention == "reduced-min")
+    if k < 2:  # reduced-proper: Delta(v, k) is empty, and the sum starts at degree 0
+        return 0
+    bv = betti(SimplicialComplex(_down_paths(g, rank, v, k)), field, reduced=True)
     return sum(bv[i] for i in range(g.level(v)))
 
 
@@ -254,8 +254,11 @@ def discrepancy_rhs_table(g: LayeredGraph, field: FieldSpec, convention: str = "
 
     which matches the series side exactly on every corpus graph.  The
     three plain-sum conventions are kept for comparison; none of them
-    survives calibration.  The number of downward paths, which bounds
-    the facets of every Delta(v, k), is capped before any is built.
+    survives calibration.  The two that cone Delta(v, k) over the added
+    minimum are closed forms: every entry is 0 (reduced-min), or the
+    number of vertices of level >= k (unreduced-min).  The number of
+    downward paths, which bounds the facets of every Delta(v, k), is
+    capped before any is built.
     """
     require_valid(g)
     if convention not in DISCREPANCY_CONVENTIONS:

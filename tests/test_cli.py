@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from splitkit.cli import build_parser, main
+from splitkit.cli import _parse_roots, build_parser, main
 from splitkit.laygraph import LayeredGraph, SimplicialComplex
+from splitkit.ncfactor import check_all_orderings
 
 
 def run(capsys, *argv):
@@ -101,7 +102,7 @@ def test_discrepancy_command(capsys, tmp_path):
 
 
 def test_discrepancy_is_signed_on_non_uniform_graph(capsys):
-    # both sides agree on a negative entry; only uniform graphs are held to a sign
+    # both sides agree on a negative entry
     graph = Path(__file__).resolve().parents[1] / "fixtures" / "negative_discrepancy.json"
     for field in ("q", "gf2"):
         code, out, _ = run(capsys, "discrepancy", "--graph", str(graph), "--field", field)
@@ -109,6 +110,17 @@ def test_discrepancy_is_signed_on_non_uniform_graph(capsys):
         rep = json.loads(out)
         assert rep["algebra_side"] == rep["topology_side"] == [0, 0, 0, 2, -2]
         assert rep["nonzero_degrees"] == [3, 4] and rep["uniform"] is False
+
+
+@pytest.mark.parametrize("field", ["q", "gf2", "gf3"])
+def test_discrepancy_is_signed_on_uniform_graph(capsys, field):
+    # the hatted face poset of a pure 3-complex with bt_1 = 1 is uniform, and its top entry is -1
+    x = Path(__file__).resolve().parents[1] / "fixtures" / "uniform_negative_discrepancy.json"
+    code, out, _ = run(capsys, "discrepancy", "--complex", str(x), "--hat", "--field", field)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["algebra_side"] == rep["topology_side"] == [0, 0, 0, 0, 0, -1]
+    assert rep["sides_agree"] is True and rep["uniform"] is True
 
 
 def test_topology_command(capsys, tmp_path):
@@ -140,6 +152,22 @@ def test_factor_command(capsys, tmp_path):
     rep = json.loads(out)
     assert rep["pass"] is True and rep["num_orderings"] == 6
     assert rep["coefficients"] == [[["-6"]], [["11"]], [["-6"]]]
+
+
+def test_factor_report_is_the_ordering_report_plus_three_diamond_keys(capsys):
+    path = Path(__file__).resolve().parents[1] / "fixtures" / "roots3.json"
+    code, out, _ = run(capsys, "factor", str(path))
+    assert code == 0
+    rep = json.loads(out)
+    ordering_keys = {"command", "inputs", "tool", "n", "d", "generic", "singular_vandermondes", "singular_transforms"}
+    ordering_keys |= {"pass", "num_orderings", "coefficients", "mismatched_orderings"}
+    assert set(rep) == ordering_keys | {"diamonds", "failed_diamonds", "vandermonde_agrees"}
+    assert rep["diamonds"] == 6 and rep["failed_diamonds"] == [] and rep["vandermonde_agrees"] is True
+    oracle = check_all_orderings(_parse_roots(json.loads(path.read_text(encoding="utf-8"))))
+    assert rep["pass"] is oracle.passed is True
+    assert rep["num_orderings"] == len(oracle.orderings) == 6
+    assert rep["coefficients"] == [[[str(v) for v in row] for row in c.entries] for c in oracle.polynomial.coefficients]
+    assert rep["mismatched_orderings"] == []
 
 
 def test_factor_reports_genericity_failure(capsys, tmp_path):

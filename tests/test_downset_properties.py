@@ -6,10 +6,12 @@ graph's edges as downward paths.  The oracles here take the other
 routes: `order_complex` recovers covers from the descendant sets and
 takes maximal chains, the algebra side of the discrepancy comes from
 ranks on path words and the Möbius polynomial, and the chain-counting
-Möbius value runs opposite to the recursion.  The path-word ranks are
-checked in turn against the full tensor quotient of the presentation.
-The facet tests check the maximality filter of `SimplicialComplex`
-against the plain quadratic rule.
+Möbius value runs opposite to the recursion, and the two cone
+conventions, closed forms in `topo`, are eliminated here as the cones
+they stand for.  The path-word ranks are checked in turn against the
+full tensor quotient of the presentation.  The facet tests check the
+maximality filter of `SimplicialComplex` against the plain quadratic
+rule.
 """
 
 import itertools
@@ -52,12 +54,11 @@ def layered_graphs(draw, heights=(2, 5), widths=(1, 4)):
 def codim1_connected_complexes(draw):
     """Pure complexes of dimension 1-3 on 5-8 vertices: random facets, cut
     down to those joined to the first one through codimension-one faces.
-    Dimension 3 draws at most four facets, which keeps the cone
-    conventions, eliminated like every other, cheap over Q."""
+    Dimension 3 draws two to five facets."""
     n = draw(st.integers(5, 8))
     dim = draw(st.sampled_from((1, 2, 3)))
     simplices = list(itertools.combinations(range(n), dim + 1))
-    sizes = (4, 7) if dim < 3 else (2, 4)
+    sizes = (4, 7) if dim < 3 else (2, 5)
     drawn = draw(st.lists(st.sampled_from(simplices), min_size=sizes[0], max_size=sizes[1], unique=True))
     facets = drawn[:1]
     for facet in facets:  # grows while it is walked
@@ -81,6 +82,25 @@ def test_down_paths_are_the_order_complex_of_the_truncated_down_set(g):
             assert SimplicialComplex(_down_paths(g, rank, v, k)).facets == relabelled.facets, (v, k)
 
 
+def _eliminated_cone_table(g, field, reduced):
+    """The cone conventions by elimination: Delta(v, k) coned by one apex, -1, below every vertex."""
+    rank = {v: i for i, (v, _) in enumerate(g.vertices)}
+    table = []
+    for k in range(g.height + 1):
+        entry = 0
+        for v, lv in g.vertices:
+            if lv < k:
+                continue
+            if k == 0:  # the truncated down-set is empty; only the added minimum remains
+                entry += 0 if reduced else 1
+                continue
+            cone = SimplicialComplex([(-1,) + p for p in _down_paths(g, rank, v, k)])
+            bv = betti(cone, field, reduced=reduced)
+            entry += sum(bv[i] for i in range(lv))
+        table.append(entry)
+    return table
+
+
 @SETTINGS
 @seed(20090932)
 @given(layered_graphs())
@@ -89,6 +109,9 @@ def test_discrepancy_sides_agree_and_cone_conventions_are_closed_forms(g):
         assert discrepancy_lhs_table(g, field) == discrepancy_rhs_table(g, field, "calibrated"), field
     # a cone is acyclic: its reduced Betti numbers vanish and only b_0 = 1 survives
     at_least = [sum(1 for _, lv in g.vertices if lv >= k) for k in range(g.height + 1)]
+    for field in (RATIONALS, GF2):
+        assert discrepancy_rhs_table(g, field, "reduced-min") == _eliminated_cone_table(g, field, True)
+        assert discrepancy_rhs_table(g, field, "unreduced-min") == _eliminated_cone_table(g, field, False)
     assert discrepancy_rhs_table(g, GF2, "reduced-min") == [0] * (g.height + 1)
     assert discrepancy_rhs_table(g, GF2, "unreduced-min") == at_least
 

@@ -3,7 +3,6 @@ from pathlib import Path
 
 import pytest
 
-from splitkit import dualalg
 from splitkit.calibration import calibrate_convention, default_cases
 from splitkit.dualalg import (
     QuadraticPresentation,
@@ -14,10 +13,18 @@ from splitkit.dualalg import (
     numerical_koszul_check,
     quadratic_dual,
 )
-from splitkit.errors import NegativeDiscrepancy, SizeLimit
+from splitkit.errors import SizeLimit
 from splitkit.exactlinalg import GF2, GF3, RATIONALS
 from splitkit.fixtures import koszul_corpus, rp2_six, single_edge_graph
-from splitkit.laygraph import LayeredGraph, boolean_graph, complex_graph, hat, subspace_graph
+from splitkit.laygraph import (
+    LayeredGraph,
+    SimplicialComplex,
+    boolean_graph,
+    complex_graph,
+    hat,
+    is_uniform,
+    subspace_graph,
+)
 from splitkit.seriespoly import IntPolynomial
 from splitkit.topo import discrepancy_rhs_table
 
@@ -202,14 +209,20 @@ def test_discrepancy_identity_holds_off_corpus():
     assert vertex_hilbert(bad, RATIONALS) == IntPolynomial([1, 5, 1])
 
 
-def test_negative_discrepancy_raised_only_on_uniform_graphs(monkeypatch):
-    path = Path(__file__).resolve().parents[1] / "fixtures" / "negative_discrepancy.json"
-    g = LayeredGraph.from_json_dict(json.loads(path.read_text(encoding="utf-8")))
+def test_negative_discrepancy_sides_agree_on_uniform_and_non_uniform_graphs():
+    fixtures = Path(__file__).resolve().parents[1] / "fixtures"
+    g = LayeredGraph.from_json_dict(json.loads((fixtures / "negative_discrepancy.json").read_text(encoding="utf-8")))
+    assert not is_uniform(g)
     for field in (RATIONALS, GF2, GF3):
         assert discrepancy_lhs_table(g, field) == discrepancy_rhs_table(g, field) == [0, 0, 0, 2, -2]
-    monkeypatch.setattr(dualalg, "is_uniform", lambda g: True)
-    with pytest.raises(NegativeDiscrepancy, match="degree 4: -2"):
-        discrepancy_lhs_table(g, RATIONALS)
+    # a pure 3-complex with bt = (0, 1, 0, 0): the hat vertex's term bt_0 - bt_1 + bt_2 is -1
+    x = SimplicialComplex.from_json_dict(
+        json.loads((fixtures / "uniform_negative_discrepancy.json").read_text(encoding="utf-8"))
+    )
+    h = hat(complex_graph(x))
+    assert is_uniform(h)
+    for field in (RATIONALS, GF2, GF3):
+        assert discrepancy_lhs_table(h, field) == discrepancy_rhs_table(h, field) == [0, 0, 0, 0, 0, -1]
 
 
 def test_vertex_algebra_field_must_be_explicit():

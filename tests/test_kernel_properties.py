@@ -1,6 +1,6 @@
 """Seeded property tests for the one elimination kernel (EchelonBasis).
 
-Every DenseMatrix rank, null space and inverse, and every Betti number,
+Every DenseMatrix rank, null space, inverse and solve, and every Betti number,
 is read off an EchelonBasis.  The dense oracles here avoid elimination:
 matrix products by `DenseMatrix.__mul__`, ranks and singularity from
 Leibniz determinants of minors, and Betti numbers from coning and the
@@ -88,6 +88,19 @@ def test_inverse_exactly_when_full_rank(m):
         with pytest.raises(SingularMatrix):
             m.inverse()
         assert m.rank() < m.rows
+
+
+@SETTINGS
+@seed(20090919)
+@given(matrices(square=True), st.data())
+def test_solve_exactly_when_full_rank(m, data):
+    cols = data.draw(st.integers(1, 3))
+    rhs = DenseMatrix([[data.draw(st.integers(-3, 3)) for _ in range(cols)] for _ in range(m.rows)], m.field)
+    if _det(m.entries, m.field):
+        assert m * m.solve(rhs) == rhs
+    else:
+        with pytest.raises(SingularMatrix):
+            m.solve(rhs)
 
 
 complexes = st.lists(

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,11 +12,13 @@ from splitkit.ncfactor import (
     block_vandermonde,
     check_all_orderings,
     check_diamond,
+    check_diamonds,
     expand_factorization,
     genericity_check,
     quasideterminant,
     quasideterminant_ordered,
     random_generic_roots,
+    vandermonde_polynomial,
     viete_coefficients,
 )
 
@@ -225,3 +228,43 @@ def test_factorization_endpoints_are_actual_roots():
         poly = viete_coefficients(rs, ordering)
         assert _right_eval(poly, rs.root(ordering[0])).is_zero()
         assert _left_eval(poly, rs.table.pseudo_root(ordering[:-1], ordering[-1])).is_zero()
+
+
+def test_vandermonde_polynomial_scalar_cases():
+    assert [c.to_lists() for c in vandermonde_polynomial(scalars(5)).coefficients] == [[[-5]]]
+    assert [c.to_lists() for c in vandermonde_polynomial(scalars(1, 2, 3)).coefficients] == [[[-6]], [[11]], [[-6]]]
+    with pytest.raises(GenericityFailure) as info:
+        vandermonde_polynomial(scalars(1, 1, 2))
+    assert info.value.subset == (1, 2, 3)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_diamond_verdict_equals_every_ordering(n, d):
+    # the oracles expand the n! orderings; the Vandermonde side knows no ordering
+    rs = random_generic_roots(n, d, random.Random(f"diamonds:{n}:{d}"), bound=3)
+    chk = check_diamonds(rs)
+    oracle = check_all_orderings(rs)
+    assert chk.passed == oracle.passed is True
+    assert chk.polynomial == oracle.polynomial
+    assert chk.diamonds == math.comb(n, 2) * 2 ** max(n - 2, 0)
+    assert chk.failed == chk.mismatched == oracle.mismatched == ()
+    assert chk.vandermonde_agrees
+    identity = tuple(range(1, n + 1))
+    for ordering in (identity, identity[::-1]):
+        assert vandermonde_polynomial(rs) == expand_factorization(rs, ordering)
+
+
+def test_corrupted_table_entry_fails_both_routes():
+    rs = random_generic_roots(4, 2, random.Random(41))
+    assert genericity_check(rs).generic
+    w, x = rs.table.pair({1, 3}, 2)
+    rs.table._cache[(frozenset({1, 3}), 2)] = (w, x + DenseMatrix.identity(2, RATIONALS))
+    chk = check_diamonds(rs)
+    oracle = check_all_orderings(rs)
+    assert not chk.passed and not oracle.passed
+    assert chk.polynomial is None
+    assert chk.failed and all({1, 2, 3} <= set(a) | {i, j} for a, i, j in chk.failed)
+    assert chk.mismatched == oracle.mismatched != ()
+    # the identity ordering never reads the entry, so it still matches the table-free side
+    assert chk.vandermonde_agrees
