@@ -9,6 +9,7 @@ from .dualalg import (
     discrepancy_lhs_table,
     graded_dims,
     vertex_hilbert,
+    vertex_relation_count,
     numerical_koszul_check,
     quadratic_dual,
 )

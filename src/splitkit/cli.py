@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import __version__
 from .caps import ORDERING_CAP, size_cap
-from .dualalg import vertex_algebra_presentation, discrepancy_lhs_table, vertex_hilbert, numerical_koszul_check
+from .dualalg import discrepancy_lhs_table, numerical_koszul_check, vertex_hilbert, vertex_relation_count
 from .errors import (
     DegreeMismatch,
     ParseError,
@@ -157,11 +157,10 @@ def _cmd_mobius(args, started) -> int:
 
 def _cmd_hilbert(args, started) -> int:
     g, _, desc = _build_graph(args)
-    truncation = args.degree if args.degree is not None else 2 * g.height
-    series = hilbert_series(g, truncation)
+    series = hilbert_series(g, args.degree)
     inv = hilbert_series_inverse(g, check_degree=False)
     payload = {
-        "truncation": truncation,
+        "truncation": series.truncation,
         "series": coeffs_as_strings(series),
         "inverse_polynomial": coeffs_as_strings(inv),
         "inverse_degree": inv.degree,
@@ -174,12 +173,11 @@ def _cmd_hilbert(args, started) -> int:
 def _cmd_dual(args, started) -> int:
     g, _, desc = _build_graph(args)
     field = parse_field(args.field)
-    hb = vertex_hilbert(g, field)  # first, so the path cap is checked before the m^2 relations are built
-    pres = vertex_algebra_presentation(g, field)
+    hb = vertex_hilbert(g, field)  # first: validation and the path cap fail fast
     payload = {
         "field": str(field),
-        "generators": list(pres.generators),
-        "num_relations": len(pres.relations),
+        "generators": [v for v, lv in g.vertices if lv > 0],
+        "num_relations": vertex_relation_count(g),
         "graded_dims": coeffs_as_strings(hb),
     }
     _emit(args, _report(args, "dual", desc, payload, started))

@@ -3,12 +3,15 @@
 The vertex algebra of a layered graph is generated by the positive-level
 vertices with two families of degree-2 relations: products along
 non-edges vanish, and each vertex kills the sum of its lower covers.
-Its graded dimensions are computed by exact rank on the path-word basis
+Those relations have pairwise disjoint supports, so their number is read
+off the graph (`vertex_relation_count`) with no elimination.  Its graded
+dimensions are computed by exact rank on the path-word basis
 (`vertex_hilbert`, the one path route), and compared against the
 sign-alternated inverse Hilbert series of the edge algebra.  Any
 quadratic presentation, that of the vertex algebra included, also has
 the generic route `graded_dims`, which quotients the full tensor power
-and serves as the independent oracle for the path route.
+and serves as the independent oracle for the path route; the eliminated
+presentation is likewise the oracle for the relation count.
 """
 
 import itertools
@@ -76,6 +79,25 @@ def vertex_algebra_presentation(g: LayeredGraph, field: FieldSpec) -> QuadraticP
         if g.level(v) >= 2:
             vectors.append({index[v] * m + index[w]: 1 for w in g.children(v)})
     return QuadraticPresentation.make(gens, vectors, field)
+
+
+def vertex_relation_count(g: LayeredGraph) -> int:
+    """Dimension of the degree-2 relation space of the vertex algebra, read off the graph.
+
+    The relations of `vertex_algebra_presentation` have pairwise disjoint
+    supports in the tensor square: each monomial u (x) v sits on its own
+    non-edge pair, and v (x) (sum of lower covers of v) sits on v's own
+    edges, which are neither non-edges nor edges of another vertex.  A
+    valid graph gives every positive-level vertex a lower cover, so no
+    relation is zero, and nonzero vectors with disjoint supports are
+    independent over every field.  The count is therefore m^2 minus the
+    edges between generators (those whose head has level >= 1) plus the
+    vertices of level >= 2, with m the number of generators.
+    """
+    require_valid(g)
+    m = sum(1 for _, lv in g.vertices if lv > 0)
+    edges = sum(1 for _, h in g.edges if g.level(h) > 0)
+    return m * m - edges + sum(1 for _, lv in g.vertices if lv >= 2)
 
 
 def graded_dims(p: QuadraticPresentation, maxdeg: int) -> list:

@@ -91,9 +91,6 @@ class FieldSpec:
             return 1 / Fraction(a)
         return pow(a, self.p - 2, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def __str__(self):
         return "Q" if self.p is None else f"GF({self.p})"
 
@@ -108,7 +105,7 @@ def parse_field(name: str) -> FieldSpec:
     name = name.strip().lower()
     if name in ("q", "qq", "rationals"):
         return RATIONALS
-    if name.startswith("gf"):
+    if name.startswith("gf") and name[2:].isdecimal():
         return FieldSpec(int(name[2:]))
     raise ValueError(f"unknown field {name!r} (expected 'q' or 'gf<p>')")
 

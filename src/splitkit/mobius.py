@@ -5,7 +5,7 @@ includes the diagonal pairs (constant term = number of vertices): the
 sum without them contradicts the closed-form oracle already at height 1.
 """
 
-from .caps import PAIR_CAP, size_cap
+from .caps import PAIR_CAP, TRUNCATION_CAP, size_cap
 from .errors import DegreeMismatch, NegativeDimension, NonzeroRemainder, SizeLimit
 from .laygraph import LayeredGraph, require_valid
 from .seriespoly import IntPolynomial, TruncatedSeries, poly_divide, series_inverse, series_mul
@@ -93,11 +93,16 @@ def _one_minus_tau_m(g: LayeredGraph) -> IntPolynomial:
 def hilbert_series(g: LayeredGraph, truncation: int | None = None) -> TruncatedSeries:
     """Hilbert series of the graph's edge algebra, to a truncation degree.
 
-    Computed as (1 - tau) / (1 - tau * M(tau)).  Coefficients are graded
-    dimensions, so any negative value is a convention bug and raises.
+    The truncation defaults to twice the height; one above the
+    truncation cap raises SizeLimit before any series is built.  Computed as
+    (1 - tau) / (1 - tau * M(tau)).  Coefficients are graded dimensions,
+    so any negative value is a convention bug and raises.
     """
     require_valid(g)
     d = 2 * g.height if truncation is None else truncation
+    cap = size_cap(TRUNCATION_CAP)
+    if d > cap:
+        raise SizeLimit(f"truncation degree {d} exceeds cap {cap}")
     denom = _one_minus_tau_m(g).to_series(d)
     series = series_mul(IntPolynomial([1, -1]).to_series(d), series_inverse(denom))
     for k, c in enumerate(series.coeffs):

@@ -4,7 +4,9 @@ Coefficients are arbitrary-precision ints, stored ascending by degree.
 Polynomials trim trailing zeros; series carry a fixed truncation degree.
 """
 
-from .errors import NonUnitConstantTerm, TruncationMismatch
+import sys
+
+from .errors import NonUnitConstantTerm, SizeLimit, TruncationMismatch
 
 
 class IntPolynomial:
@@ -195,5 +197,15 @@ def substitute_neg(a):
 
 
 def coeffs_as_strings(a) -> list[str]:
-    """JSON rendering: decimal strings, degree 0 first."""
-    return [str(c) for c in a.coeffs]
+    """JSON rendering: decimal strings, degree 0 first.
+
+    A coefficient past the interpreter's digit limit for integer-to-string
+    conversion raises SizeLimit.
+    """
+    out = []
+    for k, c in enumerate(a.coeffs):
+        try:
+            out.append(str(c))
+        except ValueError as exc:
+            raise SizeLimit(f"coefficient at degree {k} exceeds {sys.get_int_max_str_digits()} digits") from exc
+    return out

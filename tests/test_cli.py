@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from splitkit.cli import _parse_roots, build_parser, main
+from splitkit.dualalg import QuadraticPresentation
 from splitkit.laygraph import LayeredGraph, SimplicialComplex
 from splitkit.ncfactor import check_all_orderings
 
@@ -73,6 +74,20 @@ def test_dual_command(capsys):
     code, out, _ = run(capsys, "dual", "--boolean", "3", "--field", "q")
     assert code == 0
     assert json.loads(out)["graded_dims"] == ["1", "7", "5", "1"]
+
+
+def test_dual_reads_the_relation_count_off_the_graph(capsys, monkeypatch):
+    def refuse(cls, *args):
+        raise AssertionError("dual eliminated the tensor-square relations")
+
+    monkeypatch.setattr(QuadraticPresentation, "make", classmethod(refuse))
+    code, out, _ = run(capsys, "dual", "--boolean", "3", "--field", "q")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["generators"] == ["{1}", "{2}", "{3}", "{1,2}", "{1,3}", "{2,3}", "{1,2,3}"]
+    assert rep["graded_dims"] == ["1", "7", "5", "1"]
+    # 7^2 - 9 edges between generators + 4 vertices of level >= 2
+    assert rep["num_relations"] == 44
 
 
 def test_koszul_check_exit_codes(capsys, tmp_path):
@@ -237,6 +252,20 @@ def test_boolean_over_path_cap_is_usage_error(capsys, monkeypatch, command):
     code, out, err = run(capsys, *command, "--boolean", "8")
     assert code == 2 and out == ""
     assert err == "splitkit: 188255 downward paths exceeds cap 100000\n"
+
+
+@pytest.mark.parametrize(
+    "degree, message",
+    [
+        ("1000000", "truncation degree 1000000 exceeds cap 4096"),
+        ("3000", "coefficient at degree 2930 exceeds 4300 digits"),
+    ],
+)
+def test_hilbert_truncation_too_large_is_usage_error(capsys, monkeypatch, degree, message):
+    monkeypatch.delenv("SPLITKIT_SIZE_CAP", raising=False)
+    code, out, err = run(capsys, "hilbert", "--boolean", "5", "-D", degree)
+    assert code == 2 and out == ""
+    assert err == f"splitkit: {message}\n"
 
 
 def test_boolean_over_pair_cap_is_usage_error(capsys, monkeypatch):

@@ -19,7 +19,13 @@ import itertools
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from splitkit.dualalg import discrepancy_lhs_table, graded_dims, vertex_algebra_presentation, vertex_hilbert
+from splitkit.dualalg import (
+    discrepancy_lhs_table,
+    graded_dims,
+    vertex_algebra_presentation,
+    vertex_hilbert,
+    vertex_relation_count,
+)
 from splitkit.exactlinalg import GF2, GF3, RATIONALS
 from splitkit.laygraph import LayeredGraph, SimplicialComplex, complex_graph, hat, is_codim1_connected, is_pure
 from splitkit.mobius import mobius_value, mobius_value_chain
@@ -146,7 +152,9 @@ def test_path_words_equal_the_full_tensor_quotient(g):
     for field in FIELDS:
         dims = list(vertex_hilbert(g, field).coeffs)
         dims += [0] * (g.height + 2 - len(dims))
-        assert dims == graded_dims(vertex_algebra_presentation(g, field), g.height + 1), field
+        pres = vertex_algebra_presentation(g, field)
+        assert dims == graded_dims(pres, g.height + 1), field
+        assert len(pres.relations) == vertex_relation_count(g), field
 
 
 @settings(max_examples=100, deadline=None, database=None)

@@ -10,6 +10,7 @@ from splitkit.dualalg import (
     discrepancy_lhs_table,
     graded_dims,
     vertex_hilbert,
+    vertex_relation_count,
     numerical_koszul_check,
     quadratic_dual,
 )
@@ -41,6 +42,7 @@ def test_presentation_counts_match_path_basis():
         pres = vertex_algebra_presentation(g, field)
         m = pres.num_generators
         assert len(pres.relations) == m * m - vertex_hilbert(g, field)[2], (name, field)
+        assert len(pres.relations) == vertex_relation_count(g), (name, field)
 
 
 def test_presentation_counts_boolean3():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,9 @@ def test_parse_field():
     assert parse_field("GF5") == FieldSpec(5)
     with pytest.raises(ValueError):
         parse_field("gf4")
+    for name in ("gf", "gfx", "gf2.5"):
+        with pytest.raises(ValueError, match=re.escape(f"unknown field {name!r} (expected 'q' or 'gf<p>')")):
+            parse_field(name)
 
 
 def test_field_coercion():
