@@ -198,7 +198,7 @@ def numerical_koszul_check(g: LayeredGraph, field: FieldSpec) -> KoszulVerdict:
     requested field.  The field must be passed explicitly because the
     algebra side is characteristic-sensitive.
     """
-    algebra_side = vertex_hilbert(g, field)  # first: its path cap fails fast, before the Möbius table
+    algebra_side = vertex_hilbert(g, field)  # first: its path cap fails fast, before the Möbius rows
     series_side = substitute_neg(hilbert_series_inverse(g, check_degree=False))
     first = None
     for k in range(max(series_side.degree, algebra_side.degree) + 1):

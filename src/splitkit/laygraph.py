@@ -53,7 +53,7 @@ def set_id(vertices) -> str:
 class LayeredGraph:
     """Immutable layered graph: vertices with levels, one-step-down edges."""
 
-    __slots__ = ("vertices", "edges", "_level", "_out", "_in", "height", "_desc", "_mu")
+    __slots__ = ("vertices", "edges", "_level", "_out", "_in", "height", "_desc")
 
     def __init__(self, vertices, edges):
         vs = [(str(v), int(lv)) for v, lv in vertices]
@@ -85,10 +85,9 @@ class LayeredGraph:
         self._out = {v: tuple(sorted(ws)) for v, ws in out.items()}
         self._in = {v: tuple(sorted(ws)) for v, ws in inc.items()}
         self._desc = None
-        self._mu = None  # Möbius table, filled by mobius._mu_table
 
     def __setattr__(self, name, value):
-        if hasattr(self, "_in") and name not in ("_desc", "_mu"):
+        if hasattr(self, "_in") and name != "_desc":
             raise AttributeError("LayeredGraph is immutable")
         super().__setattr__(name, value)
 

@@ -12,41 +12,21 @@ from .seriespoly import IntPolynomial, TruncatedSeries, poly_divide, series_inve
 
 
 def mobius_value(g: LayeredGraph, v: str, w: str) -> int:
-    """mu(v, w): Möbius value from w up to v; 0 unless w <= v."""
+    """mu(v, w): Möbius value from w up to v; 0 unless w <= v.
+
+    Recursion on the lower argument over [w, v], from v downward:
+    mu(v, v) = 1 and mu(v, u) = -sum of mu(v, z) over u < z <= v.
+    """
     if v == w:
         return 1
     if not g.less_than(w, v):
         return 0
-    return _mu_table(g)[(v, w)]
-
-
-def _mu_table(g: LayeredGraph) -> dict:
-    """All Möbius values mu(v, w) for w <= v, by the recursion on the lower
-    argument: mu(v, w) = -sum of mu(v, u) over w < u <= v.  Cached on g.
-
-    Refuses a graph with more comparable pairs w < v than the pair cap
-    before the table is filled; its cost grows faster than the pairs.
-    """
-    if g._mu is not None:
-        return g._mu
     desc = g.descendants()
-    cap = size_cap(PAIR_CAP)
-    pairs = sum(len(below) for below in desc.values())
-    if pairs > cap:
-        raise SizeLimit(f"{pairs} comparable pairs exceeds cap {cap}")
-    table = {}
-    for v, _ in g.vertices:
-        table[(v, v)] = 1
-        # process w from high level down so the values above it exist
-        below = sorted(desc[v], key=lambda w: -g.level(w))
-        for w in below:
-            acc = 1  # the u = v term
-            for u in desc[v]:
-                if u != w and w in desc[u]:
-                    acc += table[(v, u)]
-            table[(v, w)] = -acc
-    g._mu = table
-    return table
+    interval = [u for u in desc[v] if u == w or w in desc[u]]  # [w, v)
+    values = {v: 1}
+    for u in sorted(interval, key=lambda x: -g.level(x)):
+        values[u] = -sum(s for z, s in values.items() if u in desc[z])
+    return values[w]
 
 
 def mobius_value_chain(g: LayeredGraph, v: str, w: str) -> int:
@@ -77,12 +57,30 @@ def graded_mobius(g: LayeredGraph) -> IntPolynomial:
     The diagonal is included, so the constant term is |V|; without it
     the Hilbert series of the subset lattice on one element already
     disagrees with its closed form.
+
+    Summed over rows m_v(tau) = sum of mu(v,w) * tau^(|v|-|w|) over w <= v.
+    As mu(v,w) = -sum of mu(u,w) over w <= u < v for w < v, regrouping by
+    u gives m_v = 1 - sum over u < v of tau^(|v|-|u|) * m_u; level order
+    builds every row below v first.  More comparable pairs w < v than the
+    pair cap are refused up front: the cost is pairs times height.
     """
     require_valid(g)
-    table = _mu_table(g)
+    desc = g.descendants()
+    cap = size_cap(PAIR_CAP)
+    pairs = sum(len(below) for below in desc.values())
+    if pairs > cap:
+        raise SizeLimit(f"{pairs} comparable pairs exceeds cap {cap}")
+    rows = {}
     coeffs = [0] * (g.height + 1)
-    for (v, w), mu in table.items():
-        coeffs[g.level(v) - g.level(w)] += mu
+    for v, lv in g.vertices:
+        row = [1] + [0] * lv
+        for u in desc[v]:
+            shift = lv - g.level(u)
+            for k, c in enumerate(rows[u]):
+                row[shift + k] -= c
+        rows[v] = row
+        for k, c in enumerate(row):
+            coeffs[k] += c
     return IntPolynomial(coeffs)
 
 
@@ -94,15 +92,18 @@ def hilbert_series(g: LayeredGraph, truncation: int | None = None) -> TruncatedS
     """Hilbert series of the graph's edge algebra, to a truncation degree.
 
     The truncation defaults to twice the height; one above the
-    truncation cap raises SizeLimit before any series is built.  Computed as
-    (1 - tau) / (1 - tau * M(tau)).  Coefficients are graded dimensions,
-    so any negative value is a convention bug and raises.
+    truncation cap raises SizeLimit, a negative one ValueError, before
+    any series is built.  Computed as (1 - tau) / (1 - tau * M(tau)).
+    Coefficients are graded dimensions, so any negative value is a
+    convention bug and raises.
     """
     require_valid(g)
     d = 2 * g.height if truncation is None else truncation
     cap = size_cap(TRUNCATION_CAP)
     if d > cap:
         raise SizeLimit(f"truncation degree {d} exceeds cap {cap}")
+    if d < 0:
+        raise ValueError(f"truncation degree {d} is negative")
     denom = _one_minus_tau_m(g).to_series(d)
     series = series_mul(IntPolynomial([1, -1]).to_series(d), series_inverse(denom))
     for k, c in enumerate(series.coeffs):

@@ -12,8 +12,8 @@ which solves the two exchange identities of `check_diamond` for one
 corner: each entry costs a d x d inverse and never forms a block
 Vandermonde.  `block_vandermonde` and the quasideterminants stay as the
 independent definition: tests check the table against them, and
-`genericity_check` falls back on their ranks to name the singular
-configurations of a degenerate system.
+`genericity_check` falls back on the block Vandermonde ranks to name the
+singular configurations of a degenerate system.
 
 `check_diamonds` decides whether the n! factorizations agree from the
 C(n,2) . 2^(n-2) diamonds, each an adjacent swap of two factors, and
@@ -189,8 +189,8 @@ def genericity_check(rs: RootSystem) -> GenericityReport:
     the Schur complement det W(A+i) = det W(A) . det w(A, i), and by the
     recurrence det w(A, i) = det D . det w(A - max(A), i), so every W(S)
     is invertible exactly when every D met is.  Only when some D is
-    singular are block Vandermondes and quasideterminants formed, to name
-    the culprits.
+    singular are block Vandermondes formed, to name the culprits; the
+    same Schur identity names the singular w's from their ranks.
     """
     indices = range(1, rs.n + 1)
     try:
@@ -202,22 +202,20 @@ def genericity_check(rs: RootSystem) -> GenericityReport:
         return GenericityReport((), ())
     except GenericityFailure:
         pass
-    bad_w = []
-    bad_t = []
-    singular = set()
-    for size in range(2, rs.n + 1):
-        for subset in itertools.combinations(indices, size):
-            if block_vandermonde(rs, subset).rank() < rs.d * size:
-                bad_w.append(subset)
-                singular.add(subset)
-    for size in range(2, rs.n + 1):
-        for subset in itertools.combinations(indices, size):
-            for i in subset:
-                a = tuple(sorted(set(subset) - {i}))
-                if a in singular:
-                    continue  # w is not even defined; already reported
-                if quasideterminant(rs, a, i).rank() < rs.d:
-                    bad_t.append((a, i))
+    bad_w = [
+        subset
+        for size in range(2, rs.n + 1)
+        for subset in itertools.combinations(indices, size)
+        if block_vandermonde(rs, subset).rank() < rs.d * size
+    ]
+    singular = set(bad_w)
+    # by the Schur identity, w(A, i) with W(A) invertible is singular iff W(A + i) is
+    bad_t = [
+        (a, i)
+        for subset in bad_w
+        for i in subset
+        if (a := tuple(x for x in subset if x != i)) not in singular
+    ]
     return GenericityReport(tuple(bad_w), tuple(bad_t))
 
 

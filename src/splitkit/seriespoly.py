@@ -154,13 +154,10 @@ def series_inverse(a: TruncatedSeries) -> TruncatedSeries:
         raise NonUnitConstantTerm(f"constant term {a.coeffs[0]} is not a unit")
     u = a.coeffs[0]
     d = a.truncation
+    terms = [(j, c) for j, c in enumerate(a.coeffs) if j and c]
     out = [u] + [0] * d
     for k in range(1, d + 1):
-        acc = 0
-        for j in range(1, k + 1):
-            if a.coeffs[j]:
-                acc += a.coeffs[j] * out[k - j]
-        out[k] = -u * acc
+        out[k] = -u * sum(c * out[k - j] for j, c in terms if j <= k)
     return TruncatedSeries(out)
 
 

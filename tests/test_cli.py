@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import json
 import shlex
 from pathlib import Path
@@ -259,6 +261,7 @@ def test_boolean_over_path_cap_is_usage_error(capsys, monkeypatch, command):
     [
         ("1000000", "truncation degree 1000000 exceeds cap 4096"),
         ("3000", "coefficient at degree 2930 exceeds 4300 digits"),
+        ("-1", "truncation degree -1 is negative"),
     ],
 )
 def test_hilbert_truncation_too_large_is_usage_error(capsys, monkeypatch, degree, message):
@@ -348,6 +351,22 @@ def test_benchmark_requests_parse(tmp_path, monkeypatch):
         assert requests
         for req in requests:
             parser.parse_args(list(req.argv))
+
+
+def test_benchmark_tracing_targets_exist():
+    # perfbench/tracing.py wraps these modules and methods by name, so
+    # deleting or renaming one fails here and not only in a traced run
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", root / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for layer in tracing.LAYERS:
+        importlib.import_module(f"splitkit.{layer}")
+    for layer, classes in tracing.METHODS.items():
+        mod = importlib.import_module(f"splitkit.{layer}")
+        for cls_name, methods in classes.items():
+            for meth in methods:
+                assert meth in vars(getattr(mod, cls_name)), f"{layer}.{cls_name}.{meth}"
 
 
 def test_documented_commands_parse():

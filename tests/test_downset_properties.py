@@ -28,7 +28,8 @@ from splitkit.dualalg import (
 )
 from splitkit.exactlinalg import GF2, GF3, RATIONALS
 from splitkit.laygraph import LayeredGraph, SimplicialComplex, complex_graph, hat, is_codim1_connected, is_pure
-from splitkit.mobius import mobius_value, mobius_value_chain
+from splitkit.mobius import graded_mobius, mobius_value, mobius_value_chain
+from splitkit.seriespoly import IntPolynomial
 from splitkit.topo import (
     DISCREPANCY_CONVENTIONS,
     _down_paths,
@@ -127,9 +128,14 @@ def test_discrepancy_sides_agree_and_cone_conventions_are_closed_forms(g):
 @given(layered_graphs())
 def test_mobius_recursion_equals_chain_count(g):
     desc = g.descendants()
-    for v, _ in g.vertices:
+    coeffs = [0] * (g.height + 1)
+    for v, lv in g.vertices:
+        coeffs[0] += 1
         for w in desc[v]:
-            assert mobius_value(g, v, w) == mobius_value_chain(g, v, w), (v, w)
+            mu = mobius_value_chain(g, v, w)
+            assert mobius_value(g, v, w) == mu, (v, w)
+            coeffs[lv - g.level(w)] += mu
+    assert graded_mobius(g) == IntPolynomial(coeffs)
 
 
 @settings(max_examples=150, deadline=None, database=None)

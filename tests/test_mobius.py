@@ -39,11 +39,17 @@ def test_boolean_mobius_is_alternating():
 
 
 def test_chain_sum_agrees_with_recursion_on_corpus():
+    # and the chain counts, summed by level gap, give the graded Möbius rows' total
     for _, g in full_graph_corpus():
         desc = g.descendants()
-        for v, _ in g.vertices:
+        coeffs = [0] * (g.height + 1)
+        for v, lv in g.vertices:
+            coeffs[0] += 1
             for w in desc[v]:
-                assert mobius_value(g, v, w) == mobius_value_chain(g, v, w), (v, w)
+                mu = mobius_value_chain(g, v, w)
+                assert mobius_value(g, v, w) == mu, (v, w)
+                coeffs[lv - g.level(w)] += mu
+        assert graded_mobius(g) == IntPolynomial(coeffs)
 
 
 def test_philip_hall_identity_on_corpus():

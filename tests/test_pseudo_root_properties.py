@@ -78,6 +78,12 @@ def test_genericity_verdict_equals_block_vandermonde_ranks(rs):
     report = genericity_check(rs)
     assert report.generic == (not singular)
     assert set(report.singular_vandermondes) == singular
+    # the rank of each quasideterminant w(A, i) defined (W(A) invertible) is the oracle
+    transforms = []
+    for a, i in _pairs(rs.n):
+        if a and a not in singular and quasideterminant(rs, a, i).rank() < rs.d:
+            transforms.append((a, i))
+    assert sorted(report.singular_transforms) == sorted(transforms)
 
 
 @SETTINGS

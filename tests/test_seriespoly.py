@@ -41,6 +41,8 @@ def test_series_inverse_examples():
     assert series_inverse(S([1, -1, 0, 0])) == S([1, 1, 1, 1])
     # denominator of the height-2 closed form
     assert series_inverse(S([1, -4, 4, -1])) == S([1, 4, 12, 33])
+    # sparse: only the degree-3 term is read
+    assert series_inverse(S([1, 0, 0, -1, 0, 0, 0, 0])) == S([1, 0, 0, 1, 0, 0, 1, 0])
 
 
 def test_series_inverse_needs_unit_constant():
