@@ -1,7 +1,8 @@
 """Command-line surface: deterministic JSON reports over the library.
 
 Exit codes: 0 = success/pass, 1 = the mathematics says no (a failed
-check is still a valid result), 2 = bad input or usage.
+check is still a valid result), 2 = bad input or usage.  Each `_cmd_*`
+returns (inputs, payload, exit code); `main` alone prints the report.
 """
 
 import argparse
@@ -105,20 +106,7 @@ def _build_graph(args) -> tuple:
     return g, x, desc
 
 
-def _report(args, command: str, inputs: dict, payload: dict, started: float) -> dict:
-    report = {"command": command, "inputs": inputs, "tool": {"name": "splitkit", "version": __version__}}
-    report.update(payload)
-    if args.timings:
-        report["timings"] = {"seconds": round(time.monotonic() - started, 6)}
-    return report
-
-
-def _emit(args, report: dict):
-    indent = 2 if args.pretty else None
-    print(json.dumps(report, sort_keys=True, ensure_ascii=False, indent=indent))
-
-
-def _cmd_graph(args, started) -> int:
+def _cmd_graph(args) -> tuple:
     g, x, desc = _build_graph(args)
     rep = validate(g)
     payload = {
@@ -144,18 +132,16 @@ def _cmd_graph(args, started) -> int:
         except OSError as exc:
             raise ValidationError(f"cannot write {args.out}: {exc.strerror}") from exc
         payload["written"] = args.out
-    _emit(args, _report(args, "graph", desc, payload, started))
-    return 0 if rep.ok else 1
+    return desc, payload, 0 if rep.ok else 1
 
 
-def _cmd_mobius(args, started) -> int:
+def _cmd_mobius(args) -> tuple:
     g, _, desc = _build_graph(args)
     payload = {"graded_mobius": coeffs_as_strings(graded_mobius(g))}
-    _emit(args, _report(args, "mobius", desc, payload, started))
-    return 0
+    return desc, payload, 0
 
 
-def _cmd_hilbert(args, started) -> int:
+def _cmd_hilbert(args) -> tuple:
     g, _, desc = _build_graph(args)
     series = hilbert_series(g, args.degree)
     inv = hilbert_series_inverse(g, check_degree=False)
@@ -166,11 +152,10 @@ def _cmd_hilbert(args, started) -> int:
         "inverse_degree": inv.degree,
         "inverse_degree_equals_height": inv.degree == g.height,
     }
-    _emit(args, _report(args, "hilbert", desc, payload, started))
-    return 0
+    return desc, payload, 0
 
 
-def _cmd_dual(args, started) -> int:
+def _cmd_dual(args) -> tuple:
     g, _, desc = _build_graph(args)
     field = parse_field(args.field)
     hb = vertex_hilbert(g, field)  # first: validation and the path cap fail fast
@@ -180,11 +165,10 @@ def _cmd_dual(args, started) -> int:
         "num_relations": vertex_relation_count(g),
         "graded_dims": coeffs_as_strings(hb),
     }
-    _emit(args, _report(args, "dual", desc, payload, started))
-    return 0
+    return desc, payload, 0
 
 
-def _cmd_koszul(args, started) -> int:
+def _cmd_koszul(args) -> tuple:
     g, _, desc = _build_graph(args)
     field = parse_field(args.field)
     verdict = numerical_koszul_check(g, field)
@@ -195,11 +179,10 @@ def _cmd_koszul(args, started) -> int:
         "lhs": coeffs_as_strings(verdict.series_side),
         "rhs": coeffs_as_strings(verdict.algebra_side),
     }
-    _emit(args, _report(args, "koszul-check", desc, payload, started))
-    return 0 if verdict.passes else 1
+    return desc, payload, 0 if verdict.passes else 1
 
 
-def _cmd_discrepancy(args, started) -> int:
+def _cmd_discrepancy(args) -> tuple:
     g, _, desc = _build_graph(args)
     field = parse_field(args.field)
     lhs = discrepancy_lhs_table(g, field)
@@ -214,11 +197,10 @@ def _cmd_discrepancy(args, started) -> int:
         "nonzero_degrees": [k for k, v in enumerate(lhs) if v],
         "uniform": is_uniform(g),
     }
-    _emit(args, _report(args, "discrepancy", desc, payload, started))
-    return 0 if lhs == rhs else 1
+    return desc, payload, 0 if lhs == rhs else 1
 
 
-def _cmd_topology(args, started) -> int:
+def _cmd_topology(args) -> tuple:
     data = _load_json(args.complex)
     x = SimplicialComplex.from_json_dict(data)
     field = parse_field(args.field)
@@ -240,16 +222,14 @@ def _cmd_topology(args, started) -> int:
         verdict = predict_koszulity(x, field)
     except HypothesisViolation as exc:
         payload["koszulity_prediction"] = {"hypothesis_violation": str(exc)}
-        _emit(args, _report(args, "topology", desc, payload, started))
-        return 1
+        return desc, payload, 1
     payload["koszulity_prediction"] = {
         "pass": verdict.passes,
         "low_homology_vanishes": verdict.low_homology_vanishes,
         "local_homology_ok": verdict.local_homology_ok,
         "top_dimension": verdict.n,
     }
-    _emit(args, _report(args, "topology", desc, payload, started))
-    return 0 if verdict.passes else 1
+    return desc, payload, 0 if verdict.passes else 1
 
 
 def _parse_roots(data) -> RootSystem:
@@ -273,7 +253,7 @@ def _parse_roots(data) -> RootSystem:
     return RootSystem(tuple(matrices))
 
 
-def _cmd_factor(args, started) -> int:
+def _cmd_factor(args) -> tuple:
     data = _load_json(args.roots)
     rs = _parse_roots(data)
     cap = size_cap(ORDERING_CAP)
@@ -290,8 +270,7 @@ def _cmd_factor(args, started) -> int:
     }
     if not generic.generic:
         payload["pass"] = False
-        _emit(args, _report(args, "factor", desc, payload, started))
-        return 1
+        return desc, payload, 1
     chk = check_diamonds(rs)
 
     def render(poly):
@@ -304,8 +283,7 @@ def _cmd_factor(args, started) -> int:
     payload["diamonds"] = chk.diamonds
     payload["failed_diamonds"] = [[list(a), i, j] for a, i, j in chk.failed]
     payload["vandermonde_agrees"] = chk.vandermonde_agrees
-    _emit(args, _report(args, "factor", desc, payload, started))
-    return 0 if chk.passed else 1
+    return desc, payload, 0 if chk.passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,7 +358,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
-        return args.run(args, started)
+        inputs, payload, code = args.run(args)
+        report = {"command": args.cmd, "inputs": inputs, "tool": {"name": "splitkit", "version": __version__}}
+        report.update(payload)
+        if args.timings:
+            report["timings"] = {"seconds": round(time.monotonic() - started, 6)}
+        print(json.dumps(report, sort_keys=True, ensure_ascii=False, indent=2 if args.pretty else None))
+        return code
     except _MATH_ERRORS as exc:
         print(
             json.dumps(

@@ -367,10 +367,29 @@ class SimplicialComplex:
             facets = [[_json_int(v, "facet vertex") for v in f] for f in data["facets"]]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"bad simplicial-complex JSON: {exc}") from exc
+        _require_face_cap(facets)
         return cls(facets)
 
     def __repr__(self):
         return f"SimplicialComplex({len(self.facets)} facets, dim {self.dim})"
+
+
+def _require_face_cap(facets):
+    """Refuse facets whose face poset, the empty face included, has more elements than the vertex cap.
+
+    The face poset of an m-vertex facet is `boolean_graph(m)`, so a lone
+    facet passes exactly when `--boolean m` does.  Counting stops as soon
+    as the cap is passed, so a large facet costs at most cap faces.
+    """
+    cap = size_cap(VERTEX_CAP)
+    faces = set()
+    for f in facets:
+        f = sorted(set(f))
+        for k in range(1, len(f) + 1):
+            for face in itertools.combinations(f, k):
+                faces.add(face)
+                if len(faces) >= cap:
+                    raise SizeLimit(f"more than {cap} faces, the empty face included, exceeds cap {cap}")
 
 
 def complex_graph(x: SimplicialComplex) -> LayeredGraph:

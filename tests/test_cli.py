@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -389,6 +390,64 @@ def test_pretty_flag_changes_layout_not_content(capsys):
     _, pretty, _ = run(capsys, "mobius", "--boolean", "2", "--pretty")
     assert compact != pretty
     assert json.loads(compact) == json.loads(pretty)
+
+
+_FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+_RP2 = str(_FIXTURES / "rp2.json")
+_ENVELOPE_RUNS = [
+    (("graph", "--complex", _RP2, "--hat"), lambda rep: rep["valid"]),
+    (("mobius", "--complex", _RP2, "--hat"), lambda rep: True),
+    (("hilbert", "--complex", _RP2, "--hat"), lambda rep: True),
+    (("dual", "--complex", _RP2, "--hat", "--field", "gf2"), lambda rep: True),
+    (("koszul-check", "--complex", _RP2, "--hat", "--field", "gf2"), lambda rep: rep["pass"]),
+    (("discrepancy", "--complex", _RP2, "--hat", "--field", "gf2"), lambda rep: rep["sides_agree"]),
+    (("topology", "--complex", _RP2, "--field", "gf2"), lambda rep: rep["koszulity_prediction"]["pass"]),
+    (("factor", str(_FIXTURES / "roots3.json")), lambda rep: rep["pass"]),
+]
+
+
+@pytest.mark.parametrize("argv, verdict", _ENVELOPE_RUNS, ids=[argv[0] for argv, _ in _ENVELOPE_RUNS])
+def test_every_report_has_the_envelope_and_timings_add_one_key(capsys, argv, verdict):
+    from splitkit import __version__
+
+    code, out, err = run(capsys, *argv)
+    rep = json.loads(out)
+    assert err == ""
+    assert rep["command"] == argv[0]
+    assert rep["tool"] == {"name": "splitkit", "version": __version__}
+    assert re.fullmatch(r"[0-9a-f]{16}", rep["inputs"]["digest"])
+    assert code == (0 if verdict(rep) else 1)
+    code_t, out_t, _ = run(capsys, *argv, "--timings")
+    timed = json.loads(out_t)
+    assert code_t == code
+    assert set(timed) - set(rep) == {"timings"} and set(timed["timings"]) == {"seconds"}
+    seconds = timed.pop("timings")["seconds"]
+    assert isinstance(seconds, (int, float)) and seconds >= 0
+    assert timed == rep
+
+
+def _lone_facet(tmp_path, m):
+    return str(_write(tmp_path, f"facet{m}.json", {"facets": [list(range(m))]}))
+
+
+@pytest.mark.parametrize("command", [("graph",), ("topology", "--field", "q"), ("discrepancy", "--field", "q")])
+def test_complex_over_face_cap_is_usage_error(capsys, tmp_path, monkeypatch, command):
+    # the face poset of a 13-vertex facet is boolean_graph(13), over the vertex cap;
+    # counting stops at the cap, so the refusal comes before the graph is built
+    monkeypatch.delenv("SPLITKIT_SIZE_CAP", raising=False)
+    code, out, err = run(capsys, *command, "--complex", _lone_facet(tmp_path, 13))
+    assert code == 2 and out == ""
+    assert err == "splitkit: more than 4096 faces, the empty face included, exceeds cap 4096\n"
+
+
+def test_face_cap_follows_the_size_cap_override(capsys, tmp_path, monkeypatch):
+    # 2^7 = 128 faces with the empty one is over 100; 2^6 = 64 is not
+    monkeypatch.setenv("SPLITKIT_SIZE_CAP", "100")
+    code, out, err = run(capsys, "graph", "--complex", _lone_facet(tmp_path, 7))
+    assert code == 2 and out == ""
+    assert err == "splitkit: more than 100 faces, the empty face included, exceeds cap 100\n"
+    code, out, _ = run(capsys, "graph", "--complex", _lone_facet(tmp_path, 6))
+    assert code == 0 and json.loads(out)["num_vertices"] == 64
 
 
 def test_graph_out_writes_hat_file(capsys, tmp_path):

@@ -11,10 +11,12 @@ conventions, closed forms in `topo`, are eliminated here as the cones
 they stand for.  The path-word ranks are checked in turn against the
 full tensor quotient of the presentation.  The facet tests check the
 maximality filter of `SimplicialComplex` against the plain quadratic
-rule.
+rule.  A seeded search over sets of tetrahedra on seven vertices reaches
+uniform graphs whose discrepancy has a negative entry.
 """
 
 import itertools
+import random
 
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -27,7 +29,15 @@ from splitkit.dualalg import (
     vertex_relation_count,
 )
 from splitkit.exactlinalg import GF2, GF3, RATIONALS
-from splitkit.laygraph import LayeredGraph, SimplicialComplex, complex_graph, hat, is_codim1_connected, is_pure
+from splitkit.laygraph import (
+    LayeredGraph,
+    SimplicialComplex,
+    complex_graph,
+    hat,
+    is_codim1_connected,
+    is_pure,
+    is_uniform,
+)
 from splitkit.mobius import graded_mobius, mobius_value, mobius_value_chain
 from splitkit.seriespoly import IntPolynomial
 from splitkit.topo import (
@@ -177,3 +187,21 @@ def test_discrepancy_sides_agree_on_face_posets_and_plain_sums_miss(x, hatted):
         if any(table):
             for convention in set(DISCREPANCY_CONVENTIONS) - {"calibrated"}:
                 assert discrepancy_rhs_table(g, field, convention) != table, (field, convention)
+
+
+def test_random_tetrahedra_reach_uniform_graphs_with_negative_tables():
+    # a seeded search, not a fixture, reaches hatted face posets that are
+    # uniform and still have a negative algebra-side entry
+    rng = random.Random(20090937)
+    tetrahedra = list(itertools.combinations(range(7), 4))
+    hits = []
+    for _ in range(2000):
+        g = hat(complex_graph(SimplicialComplex(rng.sample(tetrahedra, rng.randint(4, 6)))))
+        if is_uniform(g) and min(discrepancy_lhs_table(g, RATIONALS)) < 0:
+            hits.append(g)
+            if len(hits) == 2:
+                break
+    assert len(hits) == 2
+    for g in hits:
+        for field in FIELDS:
+            assert discrepancy_lhs_table(g, field) == discrepancy_rhs_table(g, field, "calibrated"), field
