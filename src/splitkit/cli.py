@@ -9,6 +9,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -232,6 +233,13 @@ def _cmd_topology(args) -> tuple:
     return desc, payload, 0 if verdict.passes else 1
 
 
+def _root_entry(value) -> Fraction:
+    """A root entry read from an input file: a "p/q" string or a JSON integer, never a float."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ValidationError(f'root entry must be a "p/q" string or an integer, got {json.dumps(value)}')
+    return Fraction(value)
+
+
 def _parse_roots(data) -> RootSystem:
     try:
         d = _json_int(data["d"], "root size d")
@@ -247,7 +255,7 @@ def _parse_roots(data) -> RootSystem:
         if not isinstance(m, list) or len(m) != d or any(not isinstance(r, list) or len(r) != d for r in m):
             raise ValidationError(f"root matrices must be {d}x{d}")
         try:
-            matrices.append(DenseMatrix([[Fraction(str(v)) for v in row] for row in m], RATIONALS))
+            matrices.append(DenseMatrix([[_root_entry(v) for v in row] for row in m], RATIONALS))
         except ZeroDivisionError as exc:
             raise ValidationError("root entry has a zero denominator") from exc
     return RootSystem(tuple(matrices))
@@ -363,20 +371,24 @@ def main(argv=None) -> int:
         report.update(payload)
         if args.timings:
             report["timings"] = {"seconds": round(time.monotonic() - started, 6)}
-        print(json.dumps(report, sort_keys=True, ensure_ascii=False, indent=2 if args.pretty else None))
-        return code
+        text = json.dumps(report, sort_keys=True, ensure_ascii=False, indent=2 if args.pretty else None)
     except _MATH_ERRORS as exc:
-        print(
-            json.dumps(
-                {"command": args.cmd, "error": type(exc).__name__, "detail": str(exc)},
-                sort_keys=True,
-                ensure_ascii=False,
-            )
+        code = 1
+        text = json.dumps(
+            {"command": args.cmd, "error": type(exc).__name__, "detail": str(exc)},
+            sort_keys=True,
+            ensure_ascii=False,
         )
-        return 1
     except (SplitkitError, ValueError) as exc:  # bad input, including files that cannot be read or written
         print(f"splitkit: {exc}", file=sys.stderr)
         return 2
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # the reader went away: not a verdict, and the exit flush must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("splitkit: cannot write the report: stdout was closed", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

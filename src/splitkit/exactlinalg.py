@@ -1,18 +1,22 @@
 """Exact scalar fields (rationals, GF(p)) and dense matrix algebra.
 
-Everything here is exact: rationals are `fractions.Fraction`, prime-field
-elements are ints reduced into [0, p).  No floating point anywhere.
-`EchelonBasis` is the one elimination kernel: dense ranks and inverses
-are read off an echelon basis of the matrix rows, and every null space,
-dense or sparse, comes from `annihilator_basis`.  Over Q the kernel
-eliminates fraction-free: it keeps each row a primitive integer vector
-and turns back to Fractions only in `reduced_rows`, so every result it
-hands out over Q is still a Fraction.
+Everything here is exact, and no floating point appears anywhere.  A
+rational scalar is a `fractions.Fraction` and a prime-field element an int
+in [0, p).  A `DenseMatrix` is one integer matrix over a common positive
+denominator, kept in lowest terms, so its arithmetic makes no Fraction.
+`EchelonBasis` is the one elimination kernel: dense ranks, solves and
+inverses are read off an echelon basis of integer matrix rows, and every
+null space, dense or sparse, comes from `annihilator_basis`.  Over Q the
+kernel eliminates fraction-free: it keeps each row a primitive integer
+vector and turns back to Fractions only in `reduced_rows`, so every
+scalar it hands out over Q is still a Fraction.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
+from operator import mul
 
 from .errors import SingularMatrix
 
@@ -37,7 +41,7 @@ class FieldSpec:
     """Field of scalars: rationals when `p` is None, else GF(p).
 
     Elements are plain values (Fraction / int), not wrapped objects; the
-    FieldSpec supplies the arithmetic.  Keeps matrices light and hashable.
+    FieldSpec supplies the scalar arithmetic and the coercion into the field.
     """
 
     p: int | None = None
@@ -74,9 +78,6 @@ class FieldSpec:
 
     def add(self, a, b):
         return a + b if self.p is None else (a + b) % self.p
-
-    def sub(self, a, b):
-        return a - b if self.p is None else (a - b) % self.p
 
     def mul(self, a, b):
         return a * b if self.p is None else (a * b) % self.p
@@ -212,30 +213,61 @@ class EchelonBasis:
         self.pivots[col] = row
         return True
 
-    def reduced_rows(self) -> list[dict]:
-        """Fully back-reduced (RREF) rows, sorted by pivot column.
+    def _back_reduced(self) -> dict:
+        """Pivot column -> fully back-reduced row.
 
-        Over Q the integer rows are divided by their pivot entries, so
-        the result holds Fractions with every pivot equal to 1.
+        Over GF(p) each row has pivot 1; over Q each is a primitive integer
+        row with a positive pivot, not yet divided by it.
         """
-        cols = sorted(self.pivots)
         final = {}  # rows with a larger pivot, already fully reduced
-        for col in reversed(cols):
+        for col in sorted(self.pivots, reverse=True):
             row = dict(self.pivots[col])
             # a final row holds no pivot column but its own, so clearing
             # one pivot column never brings another into the row
             for pc in row.keys() & final.keys():
                 row = self._eliminate(row, final[pc], pc)
             final[col] = row
+        return final
+
+    def reduced_rows(self) -> list[dict]:
+        """Fully back-reduced (RREF) rows, sorted by pivot column.
+
+        Over Q the integer rows are divided by their pivot entries, so
+        the result holds Fractions with every pivot equal to 1.
+        """
+        final = self._back_reduced()
+        cols = sorted(final)
         if self.field.p is not None:
             return [final[c] for c in cols]
         return [{c: Fraction(v, final[col][col]) for c, v in final[col].items()} for col in cols]
 
 
-class DenseMatrix:
-    """Immutable dense matrix over an exact field."""
+def _fill(m, rows: int, cols: int, num: tuple, den: int, field: FieldSpec):
+    """Set the slots of a new DenseMatrix, past its immutability guard."""
+    setattr_ = object.__setattr__
+    setattr_(m, "rows", rows)
+    setattr_(m, "cols", cols)
+    setattr_(m, "num", num)
+    setattr_(m, "den", den)
+    setattr_(m, "field", field)
 
-    __slots__ = ("rows", "cols", "entries", "field")
+
+class DenseMatrix:
+    """Immutable dense matrix over an exact field, held as one integer matrix.
+
+    The matrix is `num` / `den`: `num` is a tuple of int tuples and `den`
+    a positive int.  Over Q the pair is kept in lowest terms, gcd(den,
+    every entry) = 1, so equal matrices have equal (den, num); built from
+    values, `den` is the lcm of their reduced denominators.  Over GF(p)
+    the entries are residues in [0, p) and `den` is 1, so both fields
+    share one code path.  Arithmetic works on the integers: a product
+    takes integer dot products over den . den', a sum brings both sides to
+    the lcm of their denominators, and one gcd brings each result back to
+    lowest terms.  Field elements (Fractions over Q) appear only in
+    `entries`, `__getitem__` and `trace`.
+    """
+
+    __slots__ = ("rows", "cols", "num", "den", "field")
 
     def __init__(self, entries, field: FieldSpec, shape=None):
         entries = [list(r) for r in entries]
@@ -246,27 +278,47 @@ class DenseMatrix:
             cols = len(entries[0]) if entries else 0
         if any(len(r) != cols for r in entries):
             raise ValueError("ragged rows")
-        self.rows = rows
-        self.cols = cols
-        self.entries = tuple(tuple(field.of(v) for v in r) for r in entries)
-        self.field = field
+        values = [[field.of(v) for v in r] for r in entries]
+        if field.p is None:  # the lcm of reduced denominators leaves the pair in lowest terms
+            den = lcm(*(v.denominator for r in values for v in r))
+            num = tuple(tuple(v.numerator * (den // v.denominator) for v in r) for r in values)
+        else:
+            den, num = 1, tuple(map(tuple, values))
+        _fill(self, rows, cols, num, den, field)
+
+    @classmethod
+    def _make(cls, num, den: int, field: FieldSpec, shape) -> "DenseMatrix":
+        """The matrix num / den (den > 0), in lowest terms over Q and reduced into [0, p) over GF(p)."""
+        p = field.p
+        if p is not None:
+            num = tuple(tuple(v % p for v in r) for r in num)
+        elif den != 1:
+            g = gcd(den, *chain.from_iterable(num))
+            if g != 1:
+                num = tuple(tuple(v // g for v in r) for r in num)
+                den //= g
+        m = object.__new__(cls)
+        _fill(m, *shape, num, den, field)
+        return m
 
     def __setattr__(self, name, value):
-        if hasattr(self, "field"):
-            raise AttributeError("DenseMatrix is immutable")
-        super().__setattr__(name, value)
+        raise AttributeError("DenseMatrix is immutable")
 
     @classmethod
     def identity(cls, n: int, field: FieldSpec) -> "DenseMatrix":
-        one, zero = field.one(), field.zero()
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)], field)
+        return cls._make(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1, field, (n, n))
 
     @classmethod
     def zeros(cls, rows: int, cols: int, field: FieldSpec) -> "DenseMatrix":
-        if rows == 0:
-            return cls([], field, shape=(0, cols))
-        zero = field.zero()
-        return cls([[zero] * cols for _ in range(rows)], field)
+        return cls._make(((0,) * cols,) * rows, 1, field, (rows, cols))
+
+    @property
+    def entries(self) -> tuple:
+        """The entries as field elements: Fractions over Q, residues over GF(p)."""
+        if self.field.p is not None:
+            return self.num
+        den = self.den
+        return tuple(tuple(Fraction(v, den) for v in r) for r in self.num)
 
     def __eq__(self, other):
         return (
@@ -274,61 +326,51 @@ class DenseMatrix:
             and self.field == other.field
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
-        return hash((self.field, self.entries, self.rows, self.cols))
+        return hash((self.field, self.rows, self.cols, self.den, self.num))
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i][j]
+        v = self.num[i][j]
+        return v if self.field.p is not None else Fraction(v, self.den)
 
     def __add__(self, other):
-        self._check_same_shape(other)
-        f = self.field
-        return DenseMatrix(
-            [[f.add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
-            f,
-            shape=(self.rows, self.cols),
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign: int) -> "DenseMatrix":
+        """self + sign . other, both brought to the lcm of their denominators."""
         self._check_same_shape(other)
-        f = self.field
-        return DenseMatrix(
-            [[f.sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
-            f,
-            shape=(self.rows, self.cols),
-        )
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        num = tuple(tuple(a * fa + b * fb for a, b in zip(ra, rb)) for ra, rb in zip(self.num, other.num))
+        return DenseMatrix._make(num, den, self.field, (self.rows, self.cols))
 
     def __neg__(self):
-        f = self.field
-        return DenseMatrix([[f.neg(a) for a in r] for r in self.entries], f, shape=(self.rows, self.cols))
+        num = tuple(tuple(-v for v in r) for r in self.num)
+        return DenseMatrix._make(num, self.den, self.field, (self.rows, self.cols))
 
     def __mul__(self, other):
         if isinstance(other, DenseMatrix):
             if self.cols != other.rows or self.field != other.field:
                 raise ValueError("incompatible shapes/fields for product")
-            f = self.field
-            bt = list(zip(*other.entries)) if other.entries else [()] * other.cols
-            out = []
-            for ra in self.entries:
-                row = []
-                for cb in bt:
-                    acc = f.zero()
-                    for a, b in zip(ra, cb):
-                        if a and b:
-                            acc = f.add(acc, f.mul(a, b))
-                    row.append(acc)
-                out.append(row)
-            return DenseMatrix(out, f, shape=(self.rows, other.cols))
+            bt = tuple(zip(*other.num)) if other.num else ((),) * other.cols
+            num = tuple(tuple(sum(map(mul, ra, cb)) for cb in bt) for ra in self.num)
+            return DenseMatrix._make(num, self.den * other.den, self.field, (self.rows, other.cols))
         return self.scale(other)
 
     def scale(self, c):
         f = self.field
-        c = f.of(c)
-        return DenseMatrix([[f.mul(c, a) for a in r] for r in self.entries], f, shape=(self.rows, self.cols))
+        if f.p is not None or not isinstance(c, int):  # over Q an int is its own numerator over 1
+            c = f.of(c)
+        num = tuple(tuple(c.numerator * v for v in r) for r in self.num)
+        return DenseMatrix._make(num, self.den * c.denominator, f, (self.rows, self.cols))
 
     def __pow__(self, k: int):
         if self.rows != self.cols:
@@ -343,17 +385,15 @@ class DenseMatrix:
         return acc
 
     def transpose(self) -> "DenseMatrix":
-        return DenseMatrix(list(zip(*self.entries)) if self.entries else [], self.field, shape=(self.cols, self.rows))
+        num = tuple(zip(*self.num)) if self.num else ((),) * self.cols
+        return DenseMatrix._make(num, self.den, self.field, (self.cols, self.rows))
 
     def trace(self):
-        f = self.field
-        acc = f.zero()
-        for i in range(min(self.rows, self.cols)):
-            acc = f.add(acc, self.entries[i][i])
-        return acc
+        acc = sum(self.num[i][i] for i in range(min(self.rows, self.cols)))
+        return acc % self.field.p if self.field.p is not None else Fraction(acc, self.den)
 
     def is_zero(self) -> bool:
-        return all(not v for r in self.entries for v in r)
+        return not any(any(r) for r in self.num)
 
     def _check_same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols or self.field != other.field:
@@ -361,19 +401,25 @@ class DenseMatrix:
 
     def rank(self) -> int:
         basis = EchelonBasis(self.field)
-        for row in self.entries:
+        for row in self.num:
             basis.insert({j: v for j, v in enumerate(row) if v})
         return basis.rank
 
     def nullspace_basis(self) -> list[list]:
         """Basis of {x : self @ x = 0}, one vector per free column."""
         zero = self.field.zero()
-        rows = [{j: v for j, v in enumerate(row) if v} for row in self.entries]
+        rows = [{j: v for j, v in enumerate(row) if v} for row in self.num]
         ann = annihilator_basis(rows, self.cols, self.field)
         return [[vec.get(j, zero) for j in range(self.cols)] for vec in ann]
 
     def solve(self, rhs: "DenseMatrix") -> "DenseMatrix":
-        """The X with self . X = rhs: right half of the reduced row echelon form of [self | rhs]."""
+        """The X with self . X = rhs, read off the reduced row echelon form of [self | rhs].
+
+        With self = A/a and rhs = B/b, the integer rows [b.A | a.B] have
+        the same solution.  After integer back-reduction row i is
+        [p_i e_i | r_i], so X = r_i / p_i, over the lcm of the pivots p_i
+        (each 1 over GF(p)).
+        """
         if self.rows != self.cols:
             raise ValueError("solve with a non-square matrix")
         if rhs.rows != self.rows or rhs.field != self.field:
@@ -381,17 +427,19 @@ class DenseMatrix:
         f = self.field
         n = self.rows
         basis = EchelonBasis(f)
-        for row, rhs_row in zip(self.entries, rhs.entries):
-            vec = {j: v for j, v in enumerate(row) if v}
-            vec.update((n + j, v) for j, v in enumerate(rhs_row) if v)
+        sa, sb = rhs.den, self.den
+        for row, rhs_row in zip(self.num, rhs.num):
+            vec = {j: sa * v for j, v in enumerate(row) if v}
+            vec.update((n + j, sb * v) for j, v in enumerate(rhs_row) if v)
             basis.insert(vec)
         if basis.rank < n or any(c >= n for c in basis.pivots):  # some pivot is not in self's columns
             raise SingularMatrix(f"matrix of size {n} has rank < {n}")
-        return DenseMatrix(
-            [[row.get(n + j, f.zero()) for j in range(rhs.cols)] for row in basis.reduced_rows()],
-            f,
-            shape=(n, rhs.cols),
+        final = basis._back_reduced()
+        den = lcm(*(final[i][i] for i in range(n)))
+        num = tuple(
+            tuple(final[i].get(n + j, 0) * (den // final[i][i]) for j in range(rhs.cols)) for i in range(n)
         )
+        return DenseMatrix._make(num, den, f, (n, rhs.cols))
 
     def inverse(self) -> "DenseMatrix":
         return self.solve(DenseMatrix.identity(self.rows, self.field))

@@ -26,6 +26,7 @@ mismatched orderings, and stays as the oracle with `expand_factorization`.
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import lcm
 
 from .errors import GenericityFailure, SingularMatrix
 from .exactlinalg import RATIONALS, DenseMatrix
@@ -77,6 +78,15 @@ class RootSystem:
         return cls(tuple(DenseMatrix(m, RATIONALS) for m in matrices))
 
 
+def _assemble(grid) -> DenseMatrix:
+    """The rational matrix with block (r, c) = grid[r][c], over the lcm of the block denominators."""
+    den = lcm(*(b.den for brow in grid for b in brow))
+    num = tuple(
+        tuple(v * (den // b.den) for b in brow for v in b.num[dr]) for brow in grid for dr in range(brow[0].rows)
+    )
+    return DenseMatrix._make(num, den, RATIONALS, (len(num), len(num[0])))
+
+
 def block_vandermonde(rs: RootSystem, indices) -> DenseMatrix:
     """Block Vandermonde on an ordered index list: block (r, c) = x_{i_c}^(k-r).
 
@@ -87,13 +97,7 @@ def block_vandermonde(rs: RootSystem, indices) -> DenseMatrix:
     if len(set(indices)) != len(indices):
         raise ValueError("indices must be distinct")
     k = len(indices) - 1
-    cols = [[rs.root(i) ** (k - r) for r in range(k + 1)] for i in indices]
-    d = rs.d
-    entries = []
-    for r in range(k + 1):
-        for dr in range(d):
-            entries.append([v for c in range(k + 1) for v in cols[c][r].entries[dr]])
-    return DenseMatrix(entries, RATIONALS)
+    return _assemble([[rs.root(i) ** (k - r) for i in indices] for r in range(k + 1)])
 
 
 def quasideterminant_ordered(rs: RootSystem, ordered_a, i: int) -> DenseMatrix:
@@ -114,13 +118,8 @@ def quasideterminant_ordered(rs: RootSystem, ordered_a, i: int) -> DenseMatrix:
         inner_inv = block_vandermonde(rs, ordered_a).inverse()
     except SingularMatrix as exc:
         raise GenericityFailure(ordered_a, "inner block Vandermonde is singular") from exc
-    d = rs.d
-    r_blocks = [rs.root(a) ** k for a in ordered_a]
-    r_mat = DenseMatrix([[v for b in r_blocks for v in b.entries[dr]] for dr in range(d)], RATIONALS)
-    c_mat = DenseMatrix(
-        [row for p in range(k - 1, -1, -1) for row in (xi**p).entries],
-        RATIONALS,
-    )
+    r_mat = _assemble([[rs.root(a) ** k for a in ordered_a]])
+    c_mat = _assemble([[xi**p] for p in range(k - 1, -1, -1)])
     return xi**k - r_mat * inner_inv * c_mat
 
 
@@ -134,7 +133,8 @@ class PseudoRootTable:
     Each RootSystem holds one, `rs.table`; this module reads pseudo-roots only from it.
     For A nonempty, with e = max(A), B = A - {e} and D = x(B, i) - x(B, e):
     w(A, i) = D . w(B, i) and x(A, i) = D . x(B, i) . D^{-1}.  Each entry
-    costs one d x d inverse and three d x d products.
+    costs one d x d inverse, three d x d products and one difference, all
+    on integer matrices over a common denominator, so no Fraction is formed.
     """
 
     def __init__(self, rs: RootSystem):
@@ -322,13 +322,13 @@ def vandermonde_polynomial(rs: RootSystem) -> MatrixPolynomial:
     unique.  It never reads the pseudo-root table.
     """
     n, d = rs.n, rs.d
-    powers = [rs.root(i) ** n for i in range(1, n + 1)]
-    rhs = DenseMatrix([[-v for p in powers for v in p.entries[r]] for r in range(d)], RATIONALS)
+    rhs = _assemble([[-(rs.root(i) ** n) for i in range(1, n + 1)]])
     try:  # transposed, W(1..n)^T . [a_1 ... a_n]^T = rhs^T is one square solve
-        row = block_vandermonde(rs, range(1, n + 1)).transpose().solve(rhs.transpose()).transpose().entries
+        row = block_vandermonde(rs, range(1, n + 1)).transpose().solve(rhs.transpose()).transpose()
     except SingularMatrix as exc:
         raise GenericityFailure(range(1, n + 1), "block Vandermonde W(1..n) is singular") from exc
-    return MatrixPolynomial(tuple(DenseMatrix([r[m * d : (m + 1) * d] for r in row], RATIONALS) for m in range(n)))
+    blocks = (tuple(r[m * d : (m + 1) * d] for r in row.num) for m in range(n))
+    return MatrixPolynomial(tuple(DenseMatrix._make(b, row.den, RATIONALS, (d, d)) for b in blocks))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,13 @@
 import importlib
 import importlib.util
 import json
+import os
+import random
 import re
 import shlex
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -196,6 +201,32 @@ def test_factor_reports_genericity_failure(capsys, tmp_path):
     assert rep["pass"] is False and rep["singular_vandermondes"] == [[1, 2]]
 
 
+def test_factor_on_fractional_roots_passes_the_benchmark_check(capsys, tmp_path, monkeypatch):
+    # the benchmark draws integer roots only; its own oracle, which shares no
+    # code with splitkit, checks reports on p/q entries here
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_checks", root / "perfbench" / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    rng = random.Random(20091015)
+    checked = 0
+    for k in range(12):
+        n, d = rng.randint(2, 4), rng.randint(1, 3)
+        roots = [
+            [[Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(d)] for _ in range(d)] for _ in range(n)
+        ]
+        path = _write(tmp_path, f"roots{k}.json", {"d": d, "roots": [[[str(v) for v in r] for r in m] for m in roots]})
+        code, out, _ = run(capsys, "factor", str(path))
+        rep = json.loads(out)
+        if not rep["generic"]:  # the check holds only for generic systems
+            assert code == 1
+            continue
+        assert checks.check_factor(rep, code, roots) is None
+        checked += 1
+    assert checked >= 10
+
+
 def test_factor_over_ordering_cap_is_usage_error(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("SPLITKIT_SIZE_CAP", "2")
     two = _write(tmp_path, "two.json", {"d": 1, "roots": [[["1"]], [["2"]]]})
@@ -205,6 +236,28 @@ def test_factor_over_ordering_cap_is_usage_error(capsys, tmp_path, monkeypatch):
     code, out, err = run(capsys, "factor", str(three))
     assert code == 2 and out == ""
     assert err == "splitkit: 6 orderings exceeds cap 2\n"
+
+
+def test_closed_stdout_is_a_usage_error_without_traceback():
+    # the reader is gone before the child writes: a closed pipe is no
+    # mathematical verdict, so the exit code is 2, not 1
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "splitkit.cli", "mobius", "--boolean", "3"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == "splitkit: cannot write the report: stdout was closed\n"
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -217,6 +270,9 @@ def test_factor_over_ordering_cap_is_usage_error(capsys, tmp_path, monkeypatch):
         ({"d": 1, "roots": [["1"]]}, "root matrices must be 1x1"),
         ({"d": 1.7, "roots": [[["3"]]]}, "root size d must be an integer, got 1.7"),
         ({"d": True, "roots": [[["3"]]]}, "root size d must be an integer, got true"),
+        ({"d": 1, "roots": [[[0.5]]]}, 'root entry must be a "p/q" string or an integer, got 0.5'),
+        ({"d": 1, "roots": [[[True]]]}, 'root entry must be a "p/q" string or an integer, got true'),
+        ({"d": 1, "roots": [[[None]]]}, 'root entry must be a "p/q" string or an integer, got null'),
     ],
 )
 def test_factor_malformed_roots_are_usage_errors(capsys, tmp_path, data, message):
@@ -459,10 +515,6 @@ def test_graph_out_writes_hat_file(capsys, tmp_path):
 
 
 def test_reports_identical_across_processes_and_hash_seeds(tmp_path):
-    import os
-    import subprocess
-    import sys
-
     outs = []
     for seed in ("0", "42"):
         env = dict(os.environ, PYTHONHASHSEED=seed)
