@@ -7,8 +7,9 @@ conditions on the complex itself: reduced homology vanishes below the
 top dimension, and local homology vanishes below the top dimension at
 every point.  When the check fails, the degreewise gap between the two
 Hilbert polynomials is itself topological: a signed sum of reduced Betti
-numbers of truncated down-set order complexes, pinned down here by
-calibration (see docs/discrepancy_calibration.md).
+numbers of truncated down-set order complexes.  docs/discrepancy_calibration.md
+derives that rule, and tests/discrepancy_rules.py calibrates it against
+the three rules it replaced.
 """
 
 from splitkit import (
@@ -23,7 +24,6 @@ from splitkit import (
     local_homology_vanishes,
     predict_koszulity,
 )
-from splitkit.calibration import calibrate_convention
 from splitkit.exactlinalg import FieldSpec
 from splitkit.fixtures import boundary_delta3, rp2_six, wedge_triangles
 
@@ -52,11 +52,6 @@ print("== The discrepancy table: algebra side vs topology side")
 g = hat(complex_graph(rp2))
 for field, name in ((RATIONALS, "Q"), (GF2, "GF(2)")):
     lhs = discrepancy_lhs_table(g, field)
-    rhs = discrepancy_rhs_table(g, field, "calibrated")
+    rhs = discrepancy_rhs_table(g, field)
     print(f"hatted projective plane over {name}: algebra {lhs}  topology {rhs}  agree: {lhs == rhs}")
 print("the +1 at degree 4 over GF(2) is b~_1 of the barycentric RP^2 under the top vertex")
-print()
-
-print("== Calibration: the shipped convention is the only one that works")
-result = calibrate_convention()
-print("conventions surviving all", len(result.tables), "corpus cases:", result.selected)

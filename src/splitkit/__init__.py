@@ -1,7 +1,6 @@
 """splitkit: exact-arithmetic toolkit around factorizations of matrix
 polynomials, layered graphs, Hilbert series, and combinatorial topology."""
 
-from .calibration import CalibrationResult, calibrate_convention
 from .dualalg import (
     KoszulVerdict,
     QuadraticPresentation,

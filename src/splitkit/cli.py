@@ -45,7 +45,7 @@ from .laygraph import (
 from .mobius import graded_mobius, hilbert_series, hilbert_series_inverse
 from .ncfactor import RootSystem, check_diamonds, genericity_check
 from .seriespoly import coeffs_as_strings
-from .topo import DISCREPANCY_CONVENTIONS, betti, discrepancy_rhs_table, euler_characteristic, predict_koszulity
+from .topo import betti, discrepancy_rhs_table, euler_characteristic, predict_koszulity
 
 _MATH_ERRORS = (
     GenericityFailure,
@@ -187,10 +187,9 @@ def _cmd_discrepancy(args) -> tuple:
     g, _, desc = _build_graph(args)
     field = parse_field(args.field)
     lhs = discrepancy_lhs_table(g, field)
-    rhs = discrepancy_rhs_table(g, field, args.convention)
+    rhs = discrepancy_rhs_table(g, field)
     payload = {
         "field": str(field),
-        "convention": args.convention,
         "degrees": list(range(g.height + 1)),
         "algebra_side": lhs,
         "topology_side": rhs,
@@ -338,12 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("discrepancy", help="degreewise series/algebra discrepancy vs its topological formula")
     _add_graph_source(p)
     p.add_argument("--field", required=True, help="q or gf<p>")
-    p.add_argument(
-        "--convention",
-        choices=sorted(DISCREPANCY_CONVENTIONS),
-        default="calibrated",
-        help="per-vertex summation rule on the topology side",
-    )
     common(p)
     p.set_defaults(run=_cmd_discrepancy)
 

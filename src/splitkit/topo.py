@@ -9,7 +9,9 @@ D_{k+1} is skipped, which leaves the rank unchanged.  Over a field,
 cohomology dimensions equal homology dimensions degreewise, so the
 homological ranks serve for both.  The down-set complexes Delta(v, k)
 of the discrepancy are read from the graph's own edges as downward
-paths; `order_complex` is the general construction.
+paths; `order_complex` is the general construction.  The discrepancy's
+topological side is one rule, a signed sum of reduced Betti numbers of
+the Delta(v, k); docs/discrepancy_calibration.md derives it.
 """
 
 from dataclasses import dataclass
@@ -17,8 +19,6 @@ from dataclasses import dataclass
 from .errors import FaceNotInComplex, HypothesisViolation
 from .exactlinalg import EchelonBasis, FieldSpec
 from .laygraph import LayeredGraph, SimplicialComplex, _codim1_reached, is_pure, require_path_cap, require_valid
-
-DISCREPANCY_CONVENTIONS = ("calibrated", "reduced-proper", "reduced-min", "unreduced-min")
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,8 @@ def local_homology_vanishes(x: SimplicialComplex, field: FieldSpec) -> bool:
         lk = link(x, face)
         if lk.is_empty():
             return False  # reduced degree -1 of the empty link is nonzero
-        if top_j >= 0:
+        # a link whose facets share a vertex is a cone, and a cone is acyclic
+        if top_j >= 0 and not frozenset.intersection(*map(frozenset, lk.facets)):
             bv = betti(lk, field, reduced=True)
             if any(bv[j] for j in range(0, top_j + 1)):
                 return False
@@ -221,51 +222,33 @@ def _down_paths(g: LayeredGraph, rank: dict, v: str, k: int) -> list:
     return [path for path, _ in paths]
 
 
-def _vertex_contribution(g, rank, v, k, field, convention) -> int:
-    if convention in ("reduced-min", "unreduced-min"):
-        # Delta(v, k) with the added minimum below every vertex is a cone (for
-        # k = 0, that point alone): its reduced Betti numbers vanish, and of
-        # its unreduced ones only b_0 = 1 survives
-        return int(convention == "unreduced-min")
-    if convention == "calibrated":
-        if k < 2:
-            return 0
-        # for k >= 2 the down-set holds v's children, so reduced degree -1 is 0;
-        # the top degree k-2 never enters
-        bv = betti(SimplicialComplex(_down_paths(g, rank, v, k)), field, reduced=True)
-        return sum((1 if (k - 1 + i) % 2 == 0 else -1) * bv[i] for i in range(k - 2))
-    if k < 2:  # reduced-proper: Delta(v, k) is empty, and the sum starts at degree 0
+def _vertex_contribution(g, rank, v, k, field) -> int:
+    if k < 2:
         return 0
+    # for k >= 2 the down-set holds v's children, so reduced degree -1 is 0;
+    # the top degree k-2 never enters
     bv = betti(SimplicialComplex(_down_paths(g, rank, v, k)), field, reduced=True)
-    return sum(bv[i] for i in range(g.level(v)))
+    return sum((1 if (k - 1 + i) % 2 == 0 else -1) * bv[i] for i in range(k - 2))
 
 
-def discrepancy_rhs_table(g: LayeredGraph, field: FieldSpec, convention: str = "calibrated") -> list:
+def discrepancy_rhs_table(g: LayeredGraph, field: FieldSpec) -> list:
     """Topological side of the series/algebra discrepancy, degrees 0..height.
 
-    Entry k sums, over vertices v of level >= k, homology data of the
-    down-set complex Delta(v, k): the order complex of the k-1 levels
-    strictly below v, whose facets are the downward paths of k-1
-    vertices starting at a child of v.  The shipped default is the
-    convention the calibration suite selects: the signed sum of reduced
-    Betti numbers below the top degree,
+    Entry k sums, over vertices v of level >= k, the signed sum of reduced
+    Betti numbers of the down-set complex Delta(v, k) below its top degree,
 
-        sum over i in [-1, k-3] of (-1)^(k-1+i) * bt_i(Delta(v, k)),
+        sum over i in [-1, k-3] of (-1)^(k-1+i) * bt_i(Delta(v, k)).
 
-    which matches the series side exactly on every corpus graph.  The
-    three plain-sum conventions are kept for comparison; none of them
-    survives calibration.  The two that cone Delta(v, k) over the added
-    minimum are closed forms: every entry is 0 (reduced-min), or the
-    number of vertices of level >= k (unreduced-min).  The number of
-    downward paths, which bounds the facets of every Delta(v, k), is
-    capped before any is built.
+    Delta(v, k) is the order complex of the k-1 levels strictly below v,
+    whose facets are the downward paths of k-1 vertices starting at a
+    child of v.  docs/discrepancy_calibration.md derives the rule from
+    both sides.  The number of downward paths, which bounds the facets of
+    every Delta(v, k), is capped before any is built.
     """
     require_valid(g)
-    if convention not in DISCREPANCY_CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
     require_path_cap(g)
     rank = {v: i for i, (v, _) in enumerate(g.vertices)}
     return [
-        sum(_vertex_contribution(g, rank, v, k, field, convention) for v, lv in g.vertices if lv >= k)
+        sum(_vertex_contribution(g, rank, v, k, field) for v, lv in g.vertices if lv >= k)
         for k in range(g.height + 1)
     ]

@@ -1,0 +1,49 @@
+"""The three per-vertex discrepancy rules the calibration rejects, as test references.
+
+`topo.discrepancy_rhs_table` ships the one rule docs/discrepancy_calibration.md
+derives; `calibrate` runs it and the three plain sums below on the 26 cases
+and keeps those matching the algebra side on every one.  The cone rules are
+eliminated on the cone, not taken as closed forms.
+"""
+
+from splitkit.dualalg import discrepancy_lhs_table
+from splitkit.exactlinalg import GF2, RATIONALS
+from splitkit.fixtures import full_graph_corpus
+from splitkit.laygraph import SimplicialComplex, subspace_graph
+from splitkit.topo import _down_paths, betti, discrepancy_rhs_table
+
+
+def calibration_cases() -> list:
+    """(name, graph, field): the corpus and subspace lattices of GF(2)^3, GF(3)^3, GF(2)^4, over Q and GF(2)."""
+    graphs = full_graph_corpus() + [(f"subspace_{n}_{q}", subspace_graph(n, q)) for n, q in ((3, 2), (3, 3), (4, 2))]
+    return [(f"{name}/{fname}", g, field) for name, g in graphs for fname, field in (("Q", RATIONALS), ("GF2", GF2))]
+
+
+def plain_sum_table(g, field, cone, reduced=True) -> list:
+    """Sum over v of level >= k of b_0 + ... + b_(level-1) of Delta(v, k), or of its
+    cone by one apex, -1, below every vertex; for k <= 1 Delta(v, k) is empty."""
+    rank = {v: i for i, (v, _) in enumerate(g.vertices)}
+    table = [0] * (g.height + 1)
+    for k in range(g.height + 1):
+        for v, lv in g.vertices:
+            if lv >= k:
+                facets = [(-1,) * cone + p for p in _down_paths(g, rank, v, k)]
+                bv = betti(SimplicialComplex([f for f in facets if f]), field, reduced)
+                table[k] += sum(bv.b[: max(lv, 1)])  # the minimum's cone at k = 0 still has b_0
+    return table
+
+
+RULES = {
+    "calibrated": discrepancy_rhs_table,
+    "reduced-proper": lambda g, field: plain_sum_table(g, field, cone=False),
+    "reduced-min": lambda g, field: plain_sum_table(g, field, cone=True),
+    "unreduced-min": lambda g, field: plain_sum_table(g, field, cone=True, reduced=False),
+}
+
+
+def calibrate(cases):
+    """(rules matching the algebra side on every case, {case: {"lhs": table, rule: table}})."""
+    tables = {}
+    for name, g, f in cases:
+        tables[name] = {"lhs": discrepancy_lhs_table(g, f)} | {r: rule(g, f) for r, rule in RULES.items()}
+    return tuple(r for r in RULES if all(t[r] == t["lhs"] for t in tables.values())), tables

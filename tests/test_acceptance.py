@@ -10,7 +10,7 @@ import itertools
 import pathlib
 import random
 
-from splitkit.calibration import calibrate_convention, default_cases
+from discrepancy_rules import calibrate, calibration_cases
 from splitkit.dualalg import discrepancy_lhs_table, vertex_hilbert, numerical_koszul_check
 from splitkit.errors import DegreeMismatch
 from splitkit.exactlinalg import GF2, RATIONALS, DenseMatrix, char_poly
@@ -130,13 +130,13 @@ def test_criterion_5_discrepancy_cross_validation():
     for name, g in koszul_corpus():
         for field in (RATIONALS, GF2):
             lhs = discrepancy_lhs_table(g, field)
-            ok &= lhs == discrepancy_rhs_table(g, field, "calibrated") == [0] * (g.height + 1)
+            ok &= lhs == discrepancy_rhs_table(g, field) == [0] * (g.height + 1)
     g = hat(complex_graph(rp2_six()))
     lhs = discrepancy_lhs_table(g, GF2)
-    rhs = discrepancy_rhs_table(g, GF2, "calibrated")
+    rhs = discrepancy_rhs_table(g, GF2)
     ok &= lhs == rhs and any(v > 0 for v in lhs)
-    result = calibrate_convention(default_cases())
-    ok &= result.selected == ("calibrated",)
+    selected, _ = calibrate(calibration_cases())
+    ok &= selected == ("calibrated",)
     writeup = pathlib.Path(__file__).resolve().parents[1] / "docs" / "discrepancy_calibration.md"
     ok &= writeup.is_file() and "calibrated" in writeup.read_text(encoding="utf-8")
     assert _line("criterion 5", ok, "two sides agree on every corpus graph; convention uniquely calibrated")

@@ -122,6 +122,16 @@ def test_discrepancy_command(capsys, tmp_path):
     assert rep["algebra_side"] == rep["topology_side"] == [0, 0, 0, 0, 1]
     assert rep["sides_agree"] is True and rep["nonzero_degrees"] == [4]
     assert rep["uniform"] is True
+    assert "convention" not in rep
+
+
+def test_discrepancy_has_no_convention_option(capsys):
+    # the topology side has one rule, so there is nothing to choose
+    with pytest.raises(SystemExit) as exc:
+        main(["discrepancy", "--boolean", "2", "--field", "q", "--convention", "calibrated"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --convention calibrated" in err
 
 
 def test_discrepancy_is_signed_on_non_uniform_graph(capsys):
@@ -512,6 +522,15 @@ def test_graph_out_writes_hat_file(capsys, tmp_path):
     assert code == 0
     g = LayeredGraph.from_json_dict(json.loads(out_path.read_text(encoding="utf-8")))
     assert g.height == 3 and "M" in g.ids()
+
+
+def test_cli_import_loads_no_test_only_modules():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, splitkit.cli; print(*sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    loaded = proc.stdout.split()
+    assert "splitkit.cli" in loaded and "splitkit.calibration" not in loaded and "splitkit.fixtures" not in loaded
 
 
 def test_reports_identical_across_processes_and_hash_seeds(tmp_path):

@@ -6,9 +6,9 @@ graph's edges as downward paths.  The oracles here take the other
 routes: `order_complex` recovers covers from the descendant sets and
 takes maximal chains, the algebra side of the discrepancy comes from
 ranks on path words and the Möbius polynomial, and the chain-counting
-Möbius value runs opposite to the recursion, and the two cone
-conventions, closed forms in `topo`, are eliminated here as the cones
-they stand for.  The path-word ranks are checked in turn against the
+Möbius value runs opposite to the recursion, and the cone rules of
+`discrepancy_rules`, eliminated as the cones they stand for, reduce to
+closed forms.  The path-word ranks are checked in turn against the
 full tensor quotient of the presentation.  The facet tests check the
 maximality filter of `SimplicialComplex` against the plain quadratic
 rule.  A seeded search over sets of tetrahedra on seven vertices reaches
@@ -21,6 +21,7 @@ import random
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from discrepancy_rules import RULES, plain_sum_table
 from splitkit.dualalg import (
     discrepancy_lhs_table,
     graded_dims,
@@ -41,7 +42,6 @@ from splitkit.laygraph import (
 from splitkit.mobius import graded_mobius, mobius_value, mobius_value_chain
 from splitkit.seriespoly import IntPolynomial
 from splitkit.topo import (
-    DISCREPANCY_CONVENTIONS,
     _down_paths,
     betti,
     discrepancy_rhs_table,
@@ -99,38 +99,17 @@ def test_down_paths_are_the_order_complex_of_the_truncated_down_set(g):
             assert SimplicialComplex(_down_paths(g, rank, v, k)).facets == relabelled.facets, (v, k)
 
 
-def _eliminated_cone_table(g, field, reduced):
-    """The cone conventions by elimination: Delta(v, k) coned by one apex, -1, below every vertex."""
-    rank = {v: i for i, (v, _) in enumerate(g.vertices)}
-    table = []
-    for k in range(g.height + 1):
-        entry = 0
-        for v, lv in g.vertices:
-            if lv < k:
-                continue
-            if k == 0:  # the truncated down-set is empty; only the added minimum remains
-                entry += 0 if reduced else 1
-                continue
-            cone = SimplicialComplex([(-1,) + p for p in _down_paths(g, rank, v, k)])
-            bv = betti(cone, field, reduced=reduced)
-            entry += sum(bv[i] for i in range(lv))
-        table.append(entry)
-    return table
-
-
 @SETTINGS
 @seed(20090932)
 @given(layered_graphs())
 def test_discrepancy_sides_agree_and_cone_conventions_are_closed_forms(g):
     for field in FIELDS:
-        assert discrepancy_lhs_table(g, field) == discrepancy_rhs_table(g, field, "calibrated"), field
+        assert discrepancy_lhs_table(g, field) == discrepancy_rhs_table(g, field), field
     # a cone is acyclic: its reduced Betti numbers vanish and only b_0 = 1 survives
     at_least = [sum(1 for _, lv in g.vertices if lv >= k) for k in range(g.height + 1)]
     for field in (RATIONALS, GF2):
-        assert discrepancy_rhs_table(g, field, "reduced-min") == _eliminated_cone_table(g, field, True)
-        assert discrepancy_rhs_table(g, field, "unreduced-min") == _eliminated_cone_table(g, field, False)
-    assert discrepancy_rhs_table(g, GF2, "reduced-min") == [0] * (g.height + 1)
-    assert discrepancy_rhs_table(g, GF2, "unreduced-min") == at_least
+        assert plain_sum_table(g, field, cone=True) == [0] * (g.height + 1), field
+        assert plain_sum_table(g, field, cone=True, reduced=False) == at_least, field
 
 
 @SETTINGS
@@ -181,12 +160,12 @@ def test_discrepancy_sides_agree_on_face_posets_and_plain_sums_miss(x, hatted):
     g = hat(complex_graph(x)) if hatted else complex_graph(x)
     for field in FIELDS:
         table = discrepancy_lhs_table(g, field)
-        assert table == discrepancy_rhs_table(g, field, "calibrated"), field
+        assert table == discrepancy_rhs_table(g, field), field
         b = betti(x, field, reduced=False).b
         assert euler_characteristic(x) == sum((-1) ** i * v for i, v in enumerate(b)), field
         if any(table):
-            for convention in set(DISCREPANCY_CONVENTIONS) - {"calibrated"}:
-                assert discrepancy_rhs_table(g, field, convention) != table, (field, convention)
+            for rule in RULES.keys() - {"calibrated"}:
+                assert RULES[rule](g, field) != table, (field, rule)
 
 
 def test_random_tetrahedra_reach_uniform_graphs_with_negative_tables():
@@ -204,4 +183,4 @@ def test_random_tetrahedra_reach_uniform_graphs_with_negative_tables():
     assert len(hits) == 2
     for g in hits:
         for field in FIELDS:
-            assert discrepancy_lhs_table(g, field) == discrepancy_rhs_table(g, field, "calibrated"), field
+            assert discrepancy_lhs_table(g, field) == discrepancy_rhs_table(g, field), field

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from splitkit.calibration import calibrate_convention, default_cases
+from discrepancy_rules import calibrate, calibration_cases
 from splitkit.dualalg import (
     QuadraticPresentation,
     vertex_algebra_presentation,
@@ -178,15 +178,18 @@ def test_discrepancy_lhs_degree_values():
 def test_discrepancy_cross_module_oracle():
     g = hat(complex_graph(rp2_six()))
     for field in (GF2, RATIONALS):
-        assert discrepancy_lhs_table(g, field) == discrepancy_rhs_table(g, field, "calibrated")
+        assert discrepancy_lhs_table(g, field) == discrepancy_rhs_table(g, field)
 
 
 def test_calibration_uniquely_selects_shipped_convention():
-    result = calibrate_convention(default_cases())
-    assert result.selected == ("calibrated",)
-    assert result.unique
-    nonzero = result.tables["hat_rp2_six/GF2"]
-    assert nonzero["lhs"] == [0, 0, 0, 0, 1]
+    selected, tables = calibrate(calibration_cases())
+    assert len(tables) == 26
+    assert selected == ("calibrated",)
+    # the tables docs/discrepancy_calibration.md prints: lhs, calibrated, reduced-proper, reduced-min, unreduced-min
+    assert list(tables["boolean_3/Q"].values()) == [[0, 0, 0, 0]] * 2 + [[0, 0, 5, 1], [0, 0, 0, 0], [8, 7, 4, 1]]
+    rp2 = [[0, 0, 0, 0, 1]] * 2 + [[0, 0, 44, 16, 2], [0, 0, 0, 0, 0], [33, 32, 26, 11, 1]]
+    assert list(tables["hat_rp2_six/GF2"].values()) == rp2
+    assert tables["subspace_3_2/GF2"]["reduced-proper"] == [0, 0, 20, 8]
 
 
 def test_discrepancy_identity_holds_off_corpus():
@@ -204,7 +207,7 @@ def test_discrepancy_identity_holds_off_corpus():
     for g in (bad, hat_two_edges):
         for field in (RATIONALS, GF2):
             lhs = discrepancy_lhs_table(g, field)
-            assert lhs == discrepancy_rhs_table(g, field, "calibrated")
+            assert lhs == discrepancy_rhs_table(g, field)
             assert lhs == [0, 0, 0, 1]  # field-independent here
     # independent route agrees on the non-uniform graph too
     assert graded_dims(vertex_algebra_presentation(bad, RATIONALS), 3) == [1, 5, 1, 0]
@@ -260,7 +263,7 @@ def test_subspace_lattices_are_numerically_koszul():
         g = subspace_graph(n, q)
         for field in (RATIONALS, GF2, GF3):
             assert numerical_koszul_check(g, field).passes, (n, q, field)
-            assert discrepancy_lhs_table(g, field) == discrepancy_rhs_table(g, field, "calibrated")
+            assert discrepancy_lhs_table(g, field) == discrepancy_rhs_table(g, field)
 
 
 def test_zero_dimensional_complex_algebra():

@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from splitkit.errors import FaceNotInComplex, HypothesisViolation
 from splitkit.exactlinalg import GF2, GF3, RATIONALS, DenseMatrix
@@ -136,6 +140,38 @@ def test_local_homology_examples():
     assert not local_homology_vanishes(triangle_plus_edge(), RATIONALS)
 
 
+@st.composite
+def complexes_with_cones(draw):
+    """Random complexes on seven vertices, cones over them with apex 7, lone
+    simplices of 1-9 vertices, and simplex boundaries, whose links are spheres."""
+    kind = draw(st.sampled_from(("plain", "cone", "simplex", "sphere")))
+    if kind == "simplex":
+        return SimplicialComplex([range(draw(st.integers(1, 9)))])
+    if kind == "sphere":
+        m = draw(st.integers(3, 7))
+        return SimplicialComplex(itertools.combinations(range(m), m - 1))
+    facets = draw(st.lists(st.sets(st.integers(0, 6), min_size=1, max_size=5), min_size=1, max_size=6))
+    return SimplicialComplex([f | {7} for f in facets] if kind == "cone" else facets)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@seed(20090938)
+@given(complexes_with_cones())
+def test_local_homology_verdict_equals_ranking_every_link(x):
+    # the oracle builds each link from the facets and ranks its homology, cone or not
+    for field in (RATIONALS, GF2):
+        expected = True
+        for face in x.all_faces():
+            top_j = x.dim - len(face) - 1
+            lk = [set(f) - face for f in x.facets if face <= set(f)]
+            if top_j >= -1 and not any(lk):
+                expected = False
+            elif top_j >= 0:
+                bv = betti(SimplicialComplex([f for f in lk if f]), field, reduced=True)
+                expected &= not any(bv[j] for j in range(top_j + 1))
+        assert local_homology_vanishes(x, field) == expected, field
+
+
 def test_koszulity_prediction_verdicts():
     for field in (RATIONALS, GF2):
         assert predict_koszulity(boundary_delta3(), field).passes
@@ -159,26 +195,11 @@ def test_koszulity_prediction_rejects_empty_complex():
 
 
 def test_discrepancy_rhs_zero_on_koszul_cases():
-    assert discrepancy_rhs_table(boolean_graph(3), RATIONALS, "calibrated") == [0, 0, 0, 0]
+    assert discrepancy_rhs_table(boolean_graph(3), RATIONALS) == [0, 0, 0, 0]
 
 
 def test_discrepancy_rhs_positive_for_hatted_projective_plane_char2():
     g = hat(complex_graph(rp2_six()))
-    assert discrepancy_rhs_table(g, GF2, "calibrated") == [0, 0, 0, 0, 1]
-    assert discrepancy_rhs_table(g, RATIONALS, "calibrated") == [0, 0, 0, 0, 0]
+    assert discrepancy_rhs_table(g, GF2) == [0, 0, 0, 0, 1]
+    assert discrepancy_rhs_table(g, RATIONALS) == [0, 0, 0, 0, 0]
 
-
-def test_discrepancy_rhs_printed_conventions_disagree_on_koszul_corpus():
-    # the three plain-sum conventions cannot reproduce the zero table
-    g = boolean_graph(3)
-    assert any(discrepancy_rhs_table(g, RATIONALS, "reduced-proper"))
-    assert any(discrepancy_rhs_table(g, RATIONALS, "unreduced-min"))
-    # the cone convention is identically zero, so it misses the nonzero case
-    g2 = hat(complex_graph(rp2_six()))
-    assert not any(discrepancy_rhs_table(g2, GF2, "reduced-min"))
-
-
-def test_discrepancy_rhs_rejects_bad_args():
-    g = boolean_graph(2)
-    with pytest.raises(ValueError):
-        discrepancy_rhs_table(g, RATIONALS, "nope")
