@@ -40,10 +40,10 @@ for n in (2, 3):
           f"  -> numerically Koszul: {verdict.passes}")
 print()
 
-print("== Path basis vs full tensor quotient (independent routes)")
+print("== Per-vertex transfer vs full tensor quotient (independent routes)")
 g = boolean_graph(2)
-path = list(vertex_hilbert(g, GF2).coeffs)  # nothing survives past the height
-print("path-basis dims:   ", path + [0] * (5 - len(path)))
+dims = list(vertex_hilbert(g, GF2).coeffs)  # nothing survives past the height
+print("transfer dims:     ", dims + [0] * (5 - len(dims)))
 print("tensor-space dims: ", graded_dims(vertex_algebra_presentation(g, GF2), 4))
 print()
 

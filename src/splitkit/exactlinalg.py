@@ -8,8 +8,9 @@ denominator, kept in lowest terms, so its arithmetic makes no Fraction.
 inverses are read off an echelon basis of integer matrix rows, and every
 null space, dense or sparse, comes from `annihilator_basis`.  Over Q the
 kernel eliminates fraction-free: it keeps each row a primitive integer
-vector and turns back to Fractions only in `reduced_rows`, so every
-scalar it hands out over Q is still a Fraction.
+vector and divides by pivots only on the way out.  `reduced_rows` hands
+out Fractions; `column_classes`, whose values feed further elimination,
+hands out an int wherever the pivot divides the entry.
 """
 
 from dataclasses import dataclass
@@ -228,6 +229,36 @@ class EchelonBasis:
                 row = self._eliminate(row, final[pc], pc)
             final[col] = row
         return final
+
+    def column_classes(self, size: int) -> list[dict]:
+        """Class of each unit vector e_c, c < size, modulo the row space.
+
+        A class is given in free-column coordinates: {j: value} on the
+        j-th column, in increasing order, that holds no pivot.  So a free
+        column's class is a unit vector, and a pivot column's is minus its
+        back-reduced row, divided by the pivot, on the free columns.  Over
+        Q a value is an int where the pivot divides the entry and a
+        Fraction otherwise.
+        """
+        final = self._back_reduced()
+        ordinal = {}
+        for c in range(size):
+            if c not in final:
+                ordinal[c] = len(ordinal)
+        p = self.field.p
+        classes = []
+        for c in range(size):
+            row = final.get(c)
+            if row is None:
+                classes.append({ordinal[c]: 1})
+            elif p is not None:
+                classes.append({ordinal[f]: -v % p for f, v in row.items() if f != c})
+            else:
+                piv = row[c]
+                classes.append(
+                    {ordinal[f]: -v // piv if v % piv == 0 else Fraction(-v, piv) for f, v in row.items() if f != c}
+                )
+        return classes
 
     def reduced_rows(self) -> list[dict]:
         """Fully back-reduced (RREF) rows, sorted by pivot column.

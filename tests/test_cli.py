@@ -14,8 +14,10 @@ import pytest
 
 from splitkit.cli import _parse_roots, build_parser, main
 from splitkit.dualalg import QuadraticPresentation
-from splitkit.laygraph import LayeredGraph, SimplicialComplex
+from splitkit.laygraph import LayeredGraph, SimplicialComplex, subspace_graph
+from splitkit.mobius import hilbert_series_inverse
 from splitkit.ncfactor import check_all_orderings
+from splitkit.seriespoly import substitute_neg
 
 
 def run(capsys, *argv):
@@ -96,6 +98,23 @@ def test_dual_reads_the_relation_count_off_the_graph(capsys, monkeypatch):
     assert rep["graded_dims"] == ["1", "7", "5", "1"]
     # 7^2 - 9 edges between generators + 4 vertices of level >= 2
     assert rep["num_relations"] == 44
+
+
+@pytest.mark.parametrize("field", ["q", "gf2"])
+def test_koszul_check_passes_on_boolean_7(capsys, field):
+    # the subset lattice is Koszul: the transfer meets the Möbius series at every degree
+    code, out, _ = run(capsys, "koszul-check", "--boolean", "7", "--field", field)
+    rep = json.loads(out)
+    assert code == 0 and rep["pass"] is True
+    assert rep["lhs"] == rep["rhs"] == ["1", "127", "321", "351", "209", "71", "13", "1"]
+
+
+def test_dual_dims_of_subspace_5_2_equal_the_series_side(capsys):
+    # the series side shares no code with the transfer that computes graded_dims
+    code, out, _ = run(capsys, "dual", "--subspace", "5", "2", "--field", "gf2")
+    assert code == 0
+    series = substitute_neg(hilbert_series_inverse(subspace_graph(5, 2)))
+    assert json.loads(out)["graded_dims"] == [str(c) for c in series.coeffs]
 
 
 def test_koszul_check_exit_codes(capsys, tmp_path):

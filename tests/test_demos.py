@@ -27,4 +27,4 @@ def test_demo_exits_cleanly(path):
     if path.stem == "03_vertex_algebras_and_koszulity":
         # the two independent routes print the same list
         printed = {key: value.strip() for key, _, value in (line.partition(":") for line in proc.stdout.splitlines())}
-        assert printed["path-basis dims"] == printed["tensor-space dims"]
+        assert printed["transfer dims"] == printed["tensor-space dims"]

@@ -1,18 +1,21 @@
-"""Seeded property tests for the down-set complexes and the path words,
-on random layered graphs and on the face posets of random complexes.
+"""Seeded property tests for the down-set complexes and the vertex
+algebra's graded dimensions, on random layered graphs and on the face
+posets of random complexes.
 
 The discrepancy's topological side builds each Delta(v, k) from the
 graph's edges as downward paths.  The oracles here take the other
 routes: `order_complex` recovers covers from the descendant sets and
 takes maximal chains, the algebra side of the discrepancy comes from
-ranks on path words and the Möbius polynomial, and the chain-counting
+per-vertex quotients and the Möbius polynomial, and the chain-counting
 Möbius value runs opposite to the recursion, and the cone rules of
 `discrepancy_rules`, eliminated as the cones they stand for, reduce to
-closed forms.  The path-word ranks are checked in turn against the
-full tensor quotient of the presentation.  The facet tests check the
-maximality filter of `SimplicialComplex` against the plain quadratic
-rule.  A seeded search over sets of tetrahedra on seven vertices reaches
-uniform graphs whose discrepancy has a negative entry.
+closed forms.  The per-vertex quotients, built from the children's and
+listing no path, are checked against the ranks on path words of the
+test-only `path_words` module, and against the full tensor quotient of
+the presentation.  The facet tests check the maximality filter of
+`SimplicialComplex` against the plain quadratic rule.  A seeded search
+over sets of tetrahedra on seven vertices reaches uniform graphs whose
+discrepancy has a negative entry.
 """
 
 import itertools
@@ -22,6 +25,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from discrepancy_rules import RULES, plain_sum_table
+from path_words import path_word_hilbert
 from splitkit.dualalg import (
     discrepancy_lhs_table,
     graded_dims,
@@ -29,7 +33,7 @@ from splitkit.dualalg import (
     vertex_hilbert,
     vertex_relation_count,
 )
-from splitkit.exactlinalg import GF2, GF3, RATIONALS
+from splitkit.exactlinalg import GF2, GF3, RATIONALS, FieldSpec
 from splitkit.laygraph import (
     LayeredGraph,
     SimplicialComplex,
@@ -50,6 +54,7 @@ from splitkit.topo import (
 )
 
 FIELDS = (RATIONALS, GF2, GF3)
+GF5 = FieldSpec(5)
 SETTINGS = settings(max_examples=40, deadline=None, database=None)
 
 
@@ -150,6 +155,16 @@ def test_path_words_equal_the_full_tensor_quotient(g):
         pres = vertex_algebra_presentation(g, field)
         assert dims == graded_dims(pres, g.height + 1), field
         assert len(pres.relations) == vertex_relation_count(g), field
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@seed(20090938)
+@given(layered_graphs(heights=(1, 6), widths=(1, 5)))
+def test_transfer_equals_the_path_words(g):
+    # the path words rank every degree from scratch and know nothing of
+    # per-vertex quotients or their column classes
+    for field in FIELDS + (GF5,):
+        assert vertex_hilbert(g, field) == path_word_hilbert(g, field), field
 
 
 @settings(max_examples=100, deadline=None, database=None)

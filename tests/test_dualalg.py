@@ -1,11 +1,14 @@
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 
 from discrepancy_rules import calibrate, calibration_cases
+from path_words import path_word_hilbert
 from splitkit.dualalg import (
     QuadraticPresentation,
+    _vertex_dims,
     vertex_algebra_presentation,
     discrepancy_lhs_table,
     graded_dims,
@@ -236,24 +239,46 @@ def test_vertex_algebra_field_must_be_explicit():
 
 
 def test_vertex_dims_equal_top_down_set_homology():
-    # third, fully independent route: the degree-k dimension is the sum
-    # over vertices of level >= k of the top reduced Betti number of the
-    # order complex of the k-1 levels strictly below the vertex
+    # third, fully independent route, vertex by vertex: h_v(k), the
+    # degree-k dimension of the block of paths from v, is the top reduced
+    # Betti number b~_(k-2) of the order complex of the k-1 levels
+    # strictly below v; vertex_hilbert sums these blocks
     from splitkit.fixtures import full_graph_corpus
     from splitkit.topo import betti, order_complex
 
     for name, g in full_graph_corpus():
+        desc = g.descendants()
         for field in (RATIONALS, GF2):
-            dims = list(vertex_hilbert(g, field).coeffs)
-            dims += [0] * (g.height + 1 - len(dims))
-            for k in range(2, g.height + 1):
-                total = 0
-                for v, lv in g.vertices:
-                    if lv >= k:
-                        kept = {w for w in g.descendants()[v] if g.level(w) > lv - k}
-                        oc = order_complex(g, exclude={w for w in g.ids() if w not in kept})
-                        total += betti(oc, field, reduced=True)[k - 2]
-                assert dims[k] == total, (name, field, k)
+            blocks = _vertex_dims(g, field)
+            dims = [1] + [0] * g.height
+            for h in blocks.values():
+                dims = [a + b for a, b in itertools.zip_longest(dims, h, fillvalue=0)]
+            assert IntPolynomial(dims) == vertex_hilbert(g, field), (name, field)
+            for v, lv in g.vertices:
+                if lv == 0:
+                    continue
+                assert blocks[v][:2] == [0, 1] and len(blocks[v]) == lv + 1, (name, v)
+                for k in range(2, lv + 1):
+                    kept = {w for w in desc[v] if g.level(w) > lv - k}
+                    oc = order_complex(g, exclude={w for w in g.ids() if w not in kept})
+                    assert blocks[v][k] == betti(oc, field, reduced=True)[k - 2], (name, field, v, k)
+
+
+def test_transfer_equals_path_words_on_large_lattices():
+    # the path-word oracle ranks every path of every degree at once
+    for g, fields in ((boolean_graph(6), (RATIONALS, GF2)), (subspace_graph(4, 3), (RATIONALS, GF3))):
+        for field in fields:
+            assert vertex_hilbert(g, field) == path_word_hilbert(g, field), (g, field)
+    # the top of subspace(4, 3) quotients 1080 columns, its 40 children's
+    # degree-3 blocks, by 390 rows, 3 for each of the 130 planes; the
+    # rank is 351 over Q and over GF(3) alike
+    g = subspace_graph(4, 3)
+    top = g.level_vertices(4)[0]
+    for field in (RATIONALS, GF3):
+        blocks = _vertex_dims(g, field)
+        assert sum(blocks[w][3] for w in g.children(top)) == 1080
+        assert sum(blocks[u][2] for u in g.level_vertices(2)) == 390
+        assert blocks[top][4] == 1080 - 351
 
 
 def test_subspace_lattices_are_numerically_koszul():

@@ -174,3 +174,18 @@ def test_echelon_reduced_rows_are_rref():
         for other in rows:
             if other is not r:
                 assert min(other) not in r
+
+
+def test_column_classes_small_examples():
+    # over Q a class entry is an int when the pivot divides it
+    basis = EchelonBasis(RATIONALS)
+    basis.insert({0: 1, 1: 2})
+    assert basis.column_classes(3) == [{0: -2}, {0: 1}, {1: 1}]
+    basis = EchelonBasis(RATIONALS)
+    basis.insert({0: 2, 1: 1})
+    classes = basis.column_classes(3)
+    assert classes == [{0: Fraction(-1, 2)}, {0: 1}, {1: 1}] and type(classes[0][0]) is Fraction
+    # over GF(3), e_0 = -e_1 - e_2 = 2 e_1 + 2 e_2 modulo the row e_0 + e_1 + e_2
+    basis = EchelonBasis(GF3)
+    basis.insert({0: 1, 1: 1, 2: 1})
+    assert basis.column_classes(3) == [{0: 2, 1: 2}, {0: 1}, {1: 1}]

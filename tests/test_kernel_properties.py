@@ -166,6 +166,32 @@ def test_reduced_rows_are_rref_and_span_the_inserted_rows(system):
 
 
 @SETTINGS
+@seed(20090920)
+@given(sparse_systems())
+def test_column_classes_are_the_quotient_map(system):
+    # class(e_c) - e_c lies in the row space, free columns map to unit
+    # vectors, and size - rank columns are free
+    field, dim, rows = system
+    basis = EchelonBasis(field)
+    for r in rows:
+        basis.insert(r)
+    classes = basis.column_classes(dim)
+    free = [c for c in range(dim) if c not in basis.pivots]
+    assert len(classes) == dim and len(free) == dim - basis.rank
+    for c, cls in enumerate(classes):
+        for v in cls.values():
+            if field.is_rational:  # an int where the pivot divides, never a float
+                assert type(v) is int or (type(v) is Fraction and v.denominator != 1)
+            else:
+                assert type(v) is int and 0 < v < field.p
+        diff = {free[j]: field.of(v) for j, v in cls.items()}
+        diff[c] = field.add(diff.get(c, field.zero()), field.neg(field.one()))
+        assert basis.reduce(diff) == {}, c
+        if c in free:
+            assert cls == {free.index(c): 1}
+
+
+@SETTINGS
 @seed(20090915)
 @given(sparse_systems())
 def test_annihilator_is_orthogonal_complement(system):
