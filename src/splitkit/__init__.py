@@ -13,7 +13,6 @@ from .dualalg import (
     quadratic_dual,
 )
 from .errors import (
-    DegreeMismatch,
     FaceNotInComplex,
     GenericityFailure,
     HypothesisViolation,

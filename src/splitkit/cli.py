@@ -18,7 +18,6 @@ from . import __version__
 from .caps import ORDERING_CAP, size_cap
 from .dualalg import discrepancy_lhs_table, numerical_koszul_check, vertex_hilbert, vertex_relation_count
 from .errors import (
-    DegreeMismatch,
     ParseError,
     GenericityFailure,
     HypothesisViolation,
@@ -52,7 +51,6 @@ _MATH_ERRORS = (
     HypothesisViolation,
     NegativeDimension,
     NonzeroRemainder,
-    DegreeMismatch,
 )
 
 
@@ -145,7 +143,7 @@ def _cmd_mobius(args) -> tuple:
 def _cmd_hilbert(args) -> tuple:
     g, _, desc = _build_graph(args)
     series = hilbert_series(g, args.degree)
-    inv = hilbert_series_inverse(g, check_degree=False)
+    inv = hilbert_series_inverse(g)
     payload = {
         "truncation": series.truncation,
         "series": coeffs_as_strings(series),
@@ -206,15 +204,17 @@ def _cmd_topology(args) -> tuple:
     field = parse_field(args.field)
     desc = {"source": "complex", "facets": x.to_json_dict()["facets"]}
     desc["digest"] = _digest(desc)
-    reduced = betti(x, field, reduced=True)
-    unreduced = betti(x, field, reduced=False)
+    reduced = list(betti(x, field).b)
+    unreduced = list(reduced)
+    if unreduced:  # b_0 = reduced b_0 + 1 on a nonempty complex; the empty one fails below
+        unreduced[0] += 1
     payload = {
         "field": str(field),
         "dim": x.dim,
         "f_vector": x.f_vector(),
         "euler_characteristic": euler_characteristic(x),
-        "betti_reduced": list(reduced.b),
-        "betti_unreduced": list(unreduced.b),
+        "betti_reduced": reduced,
+        "betti_unreduced": unreduced,
         "pure": is_pure(x),
         "codim1_connected": is_codim1_connected(x),
     }

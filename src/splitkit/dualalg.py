@@ -134,7 +134,7 @@ def graded_dims(p: QuadraticPresentation, maxdeg: int) -> list:
                             idx = 0
                             for w in word:
                                 idx = idx * m + w
-                            row[idx] = field.add(row.get(idx, field.zero()), v)
+                            row[idx] = row.get(idx, 0) + v
                         basis.insert({i: v for i, v in row.items() if v})
         dims.append(ambient - basis.rank)
     return dims
@@ -240,7 +240,7 @@ def numerical_koszul_check(g: LayeredGraph, field: FieldSpec) -> KoszulVerdict:
     algebra side is characteristic-sensitive.
     """
     algebra_side = vertex_hilbert(g, field)  # first: its path cap fails fast, before the Möbius rows
-    series_side = substitute_neg(hilbert_series_inverse(g, check_degree=False))
+    series_side = substitute_neg(hilbert_series_inverse(g))
     first = None
     for k in range(max(series_side.degree, algebra_side.degree) + 1):
         if series_side[k] != algebra_side[k]:

@@ -44,10 +44,6 @@ class NonzeroRemainder(SplitkitError):
     """The inverse Hilbert series failed to divide into a polynomial."""
 
 
-class DegreeMismatch(SplitkitError):
-    """A polynomial has unexpected degree (should equal graph height)."""
-
-
 class FaceNotInComplex(SplitkitError):
     """A simplex passed to link() is not a face of the complex."""
 

@@ -42,7 +42,8 @@ class FieldSpec:
     """Field of scalars: rationals when `p` is None, else GF(p).
 
     Elements are plain values (Fraction / int), not wrapped objects; the
-    FieldSpec supplies the scalar arithmetic and the coercion into the field.
+    FieldSpec supplies only the coercion into the field, and the
+    elimination kernel does its own arithmetic (reduction mod p over GF(p)).
     """
 
     p: int | None = None
@@ -58,12 +59,6 @@ class FieldSpec:
     def is_rational(self) -> bool:
         return self.p is None
 
-    def zero(self):
-        return Fraction(0) if self.p is None else 0
-
-    def one(self):
-        return Fraction(1) if self.p is None else 1
-
     def of(self, value):
         """Coerce int, Fraction, or a "p/q" string into a field element."""
         if isinstance(value, str):
@@ -76,22 +71,6 @@ class FieldSpec:
                 raise ZeroDivisionError(f"denominator divisible by {self.p}")
             return value.numerator * pow(den, self.p - 2, self.p) % self.p
         return value % self.p
-
-    def add(self, a, b):
-        return a + b if self.p is None else (a + b) % self.p
-
-    def mul(self, a, b):
-        return a * b if self.p is None else (a * b) % self.p
-
-    def neg(self, a):
-        return -a if self.p is None else (-a) % self.p
-
-    def inv(self, a):
-        if not a:
-            raise ZeroDivisionError("inverse of zero")
-        if self.p is None:
-            return 1 / Fraction(a)
-        return pow(a, self.p - 2, self.p)
 
     def __str__(self):
         return "Q" if self.p is None else f"GF({self.p})"
@@ -205,10 +184,10 @@ class EchelonBasis:
         if not row:
             return False
         col = min(row)
-        f = self.field
-        if f.p is not None:
-            inv = f.inv(row[col])
-            row = {c: f.mul(inv, v) for c, v in row.items()}
+        p = self.field.p
+        if p is not None:
+            inv = pow(row[col], p - 2, p)
+            row = {c: inv * v % p for c, v in row.items()}
         elif row[col] < 0:
             row = {c: -v for c, v in row.items()}
         self.pivots[col] = row
@@ -438,7 +417,7 @@ class DenseMatrix:
 
     def nullspace_basis(self) -> list[list]:
         """Basis of {x : self @ x = 0}, one vector per free column."""
-        zero = self.field.zero()
+        zero = self.field.of(0)
         rows = [{j: v for j, v in enumerate(row) if v} for row in self.num]
         ann = annihilator_basis(rows, self.cols, self.field)
         return [[vec.get(j, zero) for j in range(self.cols)] for vec in ann]
@@ -499,12 +478,12 @@ def annihilator_basis(rows: list[dict], dim: int, field: FieldSpec) -> list[dict
         basis.insert(row)
     rref = basis.reduced_rows()
     pivots = {min(row) for row in rref}
-    ann = {c: {c: field.one()} for c in range(dim) if c not in pivots}
+    ann = {c: {c: field.of(1)} for c in range(dim) if c not in pivots}
     for row in rref:
         pc = min(row)
         for c, v in row.items():
             if c != pc:  # an RREF row is its pivot plus free columns
-                ann[c][pc] = field.neg(v)
+                ann[c][pc] = field.of(-v)
     return list(ann.values())
 
 

@@ -6,7 +6,7 @@ sum without them contradicts the closed-form oracle already at height 1.
 """
 
 from .caps import PAIR_CAP, TRUNCATION_CAP, size_cap
-from .errors import DegreeMismatch, NegativeDimension, NonzeroRemainder, SizeLimit
+from .errors import NegativeDimension, NonzeroRemainder, SizeLimit
 from .laygraph import LayeredGraph, require_valid
 from .seriespoly import IntPolynomial, TruncatedSeries, poly_divide, series_inverse, series_mul
 
@@ -127,26 +127,18 @@ def subset_lattice_series(n: int, truncation: int) -> TruncatedSeries:
     return series
 
 
-def hilbert_series_inverse(g: LayeredGraph, check_degree: bool = True) -> IntPolynomial:
+def hilbert_series_inverse(g: LayeredGraph) -> IntPolynomial:
     """The inverse Hilbert series (1 - tau*M) / (1 - tau), as an exact polynomial.
 
-    Raises NonzeroRemainder if the division is inexact, and (with
-    check_degree) DegreeMismatch if the quotient degree differs from the
-    graph height.  The degree does drop below the height on real graphs:
-    the top coefficient is, up to sign, the top-to-bottom Möbius value,
-    which vanishes e.g. for the one-vertex completion of the face poset
-    of a complex whose order complex has zero reduced Euler
-    characteristic.  Callers that only need the polynomial (the Koszul
-    numerics) pass check_degree=False.
+    Raises NonzeroRemainder if the division is inexact.  The degree is at
+    most the graph height and can drop below it on real graphs: the top
+    coefficient is, up to sign, the top-to-bottom Möbius value, which
+    vanishes e.g. for the one-vertex completion of the face poset of a
+    complex whose order complex has zero reduced Euler characteristic.
     """
     require_valid(g)
     num = _one_minus_tau_m(g)
     quotient, remainder = poly_divide(num, IntPolynomial([1, -1]))
     if not remainder.is_zero():
         raise NonzeroRemainder(f"remainder {remainder!r} dividing {num!r} by (1 - tau)")
-    if check_degree and quotient.degree != g.height:
-        raise DegreeMismatch(
-            f"degree {quotient.degree} != height {g.height} "
-            "(the top-level graded Möbius coefficient vanishes)"
-        )
     return quotient

@@ -1,13 +1,14 @@
 """Simplicial homology over a field, order complexes, local homology, and
 the topological side of the discrepancy.
 
-Boundary maps are lists of sparse signed integer columns whose ranks
-come from the exact EchelonBasis kernel (primitive integer rows over Q);
-Betti numbers come from rank-nullity.  Ranks are taken from the top
-dimension down with clearing: a column of D_k whose index is a pivot of
-D_{k+1} is skipped, which leaves the rank unchanged.  Over a field,
-cohomology dimensions equal homology dimensions degreewise, so the
-homological ranks serve for both.  The down-set complexes Delta(v, k)
+Boundary maps are lists of sparse signed integer columns, built and
+checked over the integers; the field enters only when the exact
+EchelonBasis kernel ranks them (primitive integer rows over Q).  Betti
+numbers are reduced, and come from rank-nullity.  Ranks are taken from
+the top dimension down with clearing: a column of D_k whose index is a
+pivot of D_{k+1} is skipped, which leaves the rank unchanged.  Over a
+field, cohomology dimensions equal homology dimensions degreewise, so
+the homological ranks serve for both.  The down-set complexes Delta(v, k)
 of the discrepancy are read from the graph's own edges as downward
 paths; `order_complex` is the general construction.  The discrepancy's
 topological side is one rule, a signed sum of reduced Betti numbers of
@@ -23,10 +24,9 @@ from .laygraph import LayeredGraph, SimplicialComplex, _codim1_reached, is_pure,
 
 @dataclass(frozen=True)
 class BettiVector:
-    """Betti numbers b[i] for i = 0..dim, over the given field."""
+    """Reduced Betti numbers b[i] for i = 0..dim, over the given field."""
 
     b: tuple
-    reduced: bool
     field: FieldSpec
 
     def __getitem__(self, i: int) -> int:
@@ -36,18 +36,17 @@ class BettiVector:
         return sum(self.b)
 
 
-def boundary_columns(x: SimplicialComplex, field: FieldSpec, reduced: bool) -> list:
+def boundary_columns(x: SimplicialComplex) -> list:
     """[D_0, ..., D_dim] with D_k the boundary map C_k -> C_{k-1}.
 
-    Each D_k is a list of sparse columns {row: +-1}, one per k-simplex,
-    with plain int entries (over GF(p), -1 is written p - 1).  D_0 is the
-    augmentation row when reduced, else a map to the zero space (empty
-    columns).  Simplices are ordered by sorted vertex tuple; the sign of
-    dropping position j is (-1)^j.  The composite of consecutive maps is
-    checked to vanish.
+    Each D_k is a list of sparse integer columns {row: +-1}, one per
+    k-simplex; D_0 is the augmentation row.  Simplices are ordered by
+    sorted vertex tuple; the sign of dropping position j is (-1)^j.  The
+    composite of consecutive maps is checked to vanish over the integers,
+    which implies it vanishes over every field.
     """
     bases = [x.faces_of_dim(k) for k in range(x.dim + 1)]
-    maps = [[{0: 1} if reduced else {} for _ in bases[0]]]
+    maps = [[{0: 1} for _ in bases[0]]]
     for k in range(1, x.dim + 1):
         index = {s: i for i, s in enumerate(bases[k - 1])}
         cols = []
@@ -56,23 +55,22 @@ def boundary_columns(x: SimplicialComplex, field: FieldSpec, reduced: bool) -> l
             sign = 1
             for j in range(len(simplex)):
                 col[index[simplex[:j] + simplex[j + 1 :]]] = sign
-                sign = field.neg(sign)
+                sign = -sign
             cols.append(col)
         maps.append(cols)
-    p = field.p
     for k in range(1, len(maps)):
         for col in maps[k]:
             image = {}
             for r, s in col.items():
                 for q, t in maps[k - 1][r].items():
                     image[q] = image.get(q, 0) + s * t
-            if any(v % p if p else v for v in image.values()):
+            if any(image.values()):
                 raise AssertionError(f"boundary composite at dimension {k} is nonzero")
     return maps
 
 
-def betti(x: SimplicialComplex, field: FieldSpec, reduced: bool = False) -> BettiVector:
-    """Betti numbers b_i = nullity(D_i) - rank(D_{i+1}) for i = 0..dim.
+def betti(x: SimplicialComplex, field: FieldSpec) -> BettiVector:
+    """Reduced Betti numbers b_i = nullity(D_i) - rank(D_{i+1}) for i = 0..dim.
 
     Ranks are taken from the top down with clearing: column i of D_k is
     skipped when i is a pivot of D_{k+1}'s echelon basis.  That pivot is
@@ -82,8 +80,8 @@ def betti(x: SimplicialComplex, field: FieldSpec, reduced: bool = False) -> Bett
     span of the kept columns, so skipping leaves the rank unchanged.
     """
     if x.is_empty():
-        return BettiVector((), reduced, field)
-    maps = boundary_columns(x, field, reduced)
+        return BettiVector((), field)
+    maps = boundary_columns(x)
     ranks = [0] * (len(maps) + 1)
     cleared = set()
     for k in reversed(range(len(maps))):
@@ -94,7 +92,7 @@ def betti(x: SimplicialComplex, field: FieldSpec, reduced: bool = False) -> Bett
         ranks[k] = basis.rank
         cleared = basis.pivots.keys()
     b = tuple(len(maps[i]) - ranks[i] - ranks[i + 1] for i in range(len(maps)))
-    return BettiVector(b, reduced, field)
+    return BettiVector(b, field)
 
 
 def euler_characteristic(x: SimplicialComplex) -> int:
@@ -165,7 +163,7 @@ def local_homology_vanishes(x: SimplicialComplex, field: FieldSpec) -> bool:
             return False  # reduced degree -1 of the empty link is nonzero
         # a link whose facets share a vertex is a cone, and a cone is acyclic
         if top_j >= 0 and not frozenset.intersection(*map(frozenset, lk.facets)):
-            bv = betti(lk, field, reduced=True)
+            bv = betti(lk, field)
             if any(bv[j] for j in range(0, top_j + 1)):
                 return False
     return True
@@ -202,7 +200,7 @@ def predict_koszulity(x: SimplicialComplex, field: FieldSpec) -> KoszulityPredic
             "complex is not connected through codimension-one faces: no such path "
             f"between facets {list(x.facets[0])} and {list(x.facets[stranded])}"
         )
-    bv = betti(x, field, reduced=True)
+    bv = betti(x, field)
     low = all(bv[i] == 0 for i in range(n))
     local = local_homology_vanishes(x, field)
     return KoszulityPrediction(low and local, low, local, n, field)
@@ -227,7 +225,7 @@ def _vertex_contribution(g, rank, v, k, field) -> int:
         return 0
     # for k >= 2 the down-set holds v's children, so reduced degree -1 is 0;
     # the top degree k-2 never enters
-    bv = betti(SimplicialComplex(_down_paths(g, rank, v, k)), field, reduced=True)
+    bv = betti(SimplicialComplex(_down_paths(g, rank, v, k)), field)
     return sum((1 if (k - 1 + i) % 2 == 0 else -1) * bv[i] for i in range(k - 2))
 
 

@@ -28,8 +28,10 @@ def plain_sum_table(g, field, cone, reduced=True) -> list:
         for v, lv in g.vertices:
             if lv >= k:
                 facets = [(-1,) * cone + p for p in _down_paths(g, rank, v, k)]
-                bv = betti(SimplicialComplex([f for f in facets if f]), field, reduced)
-                table[k] += sum(bv.b[: max(lv, 1)])  # the minimum's cone at k = 0 still has b_0
+                b = betti(SimplicialComplex([f for f in facets if f]), field).b
+                if b and not reduced:
+                    table[k] += 1  # unreduced b_0 = reduced b_0 + 1 on a nonempty complex
+                table[k] += sum(b[: max(lv, 1)])  # the minimum's cone at k = 0 still has b_0
     return table
 
 

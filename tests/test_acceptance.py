@@ -12,7 +12,6 @@ import random
 
 from discrepancy_rules import calibrate, calibration_cases
 from splitkit.dualalg import discrepancy_lhs_table, vertex_hilbert, numerical_koszul_check
-from splitkit.errors import DegreeMismatch
 from splitkit.exactlinalg import GF2, RATIONALS, DenseMatrix, char_poly
 from splitkit.fixtures import (
     boundary_delta3,
@@ -67,7 +66,7 @@ def test_criterion_2a_inverse_is_a_polynomial():
     # zero remainder: the inverse series really is a polynomial, exactly
     details = []
     for name, g in _inverse_corpus():
-        poly = hilbert_series_inverse(g, check_degree=False)  # NonzeroRemainder would raise
+        poly = hilbert_series_inverse(g)  # NonzeroRemainder would raise
         details.append((name, poly.degree))
     assert _line("criterion 2a", True, f"zero remainder on all {len(details)} corpus graphs")
 
@@ -83,12 +82,7 @@ def test_criterion_2b_inverse_degree_equals_height():
     # those two graphs; everything else satisfies it.
     failures = []
     for name, g in _inverse_corpus():
-        try:
-            degree = hilbert_series_inverse(g).degree
-        except DegreeMismatch:
-            failures.append(name)
-            continue
-        if degree != g.height:
+        if hilbert_series_inverse(g).degree != g.height:
             failures.append(name)
     _line("criterion 2b", not failures, f"degree = height everywhere (exceptions: {failures or 'none'})")
     assert not failures, (
@@ -185,15 +179,15 @@ def test_criterion_8_property_suites():
     # boundary composite and Euler characteristic
     for _, x in complexes():
         for field in (RATIONALS, GF2):
-            maps = boundary_columns(x, field, reduced=True)
+            maps = boundary_columns(x)
             heights = [1] + [len(cols) for cols in maps]
             mats = [
                 DenseMatrix([[col.get(r, 0) for col in cols] for r in range(heights[k])], field)
                 for k, cols in enumerate(maps)
             ]
             ok &= all((mats[k - 1] * mats[k]).is_zero() for k in range(1, len(mats)))
-            b = betti(x, field, reduced=False)
-            ok &= euler_characteristic(x) == sum((-1) ** i * v for i, v in enumerate(b.b))
+            b = betti(x, field)
+            ok &= euler_characteristic(x) - 1 == sum((-1) ** i * v for i, v in enumerate(b.b))
     # randomized reconstruction identities, 1000 cases each
     rng = random.Random(99)
     for _ in range(1000):

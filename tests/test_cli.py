@@ -186,6 +186,35 @@ def test_topology_command(capsys, tmp_path):
     assert code == 0 and json.loads(out)["koszulity_prediction"]["pass"] is True
 
 
+def _components(facets) -> int:
+    """Connected components by union-find over the edges of the facets."""
+    parent = {v: v for f in facets for v in f}
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for f in facets:
+        for a in f[1:]:  # the edges from f[0] join all of f
+            parent[root(a)] = root(f[0])
+    return len({root(v) for v in parent})
+
+
+def test_unreduced_betti_counts_components_of_random_complexes(capsys, tmp_path):
+    rng = random.Random(20091019)
+    for k in range(30):
+        facets = [rng.sample(range(1, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 6))]
+        path = _write(tmp_path, f"x{k}.json", {"facets": facets})
+        for field in ("q", "gf2", "gf3"):
+            _, out, _ = run(capsys, "topology", "--complex", str(path), "--field", field)
+            rep = json.loads(out)
+            unreduced, reduced = rep["betti_unreduced"], rep["betti_reduced"]
+            assert unreduced[0] == _components(facets), (facets, field)
+            assert unreduced[1:] == reduced[1:], (facets, field)
+
+
 def test_topology_hypothesis_violation(capsys, tmp_path):
     wedge = _write(tmp_path, "w.json", {"facets": [[1, 2, 3], [3, 4, 5]]})
     code, out, _ = run(capsys, "topology", "--complex", str(wedge), "--field", "q")

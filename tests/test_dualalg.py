@@ -261,7 +261,7 @@ def test_vertex_dims_equal_top_down_set_homology():
                 for k in range(2, lv + 1):
                     kept = {w for w in desc[v] if g.level(w) > lv - k}
                     oc = order_complex(g, exclude={w for w in g.ids() if w not in kept})
-                    assert blocks[v][k] == betti(oc, field, reduced=True)[k - 2], (name, field, v, k)
+                    assert blocks[v][k] == betti(oc, field)[k - 2], (name, field, v, k)
 
 
 def test_transfer_equals_path_words_on_large_lattices():

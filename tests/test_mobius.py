@@ -1,6 +1,6 @@
 import pytest
 
-from splitkit.errors import DegreeMismatch, SizeLimit
+from splitkit.errors import SizeLimit
 from splitkit.fixtures import boundary_delta3, delta2, full_graph_corpus, rp2_six, single_edge_graph
 from splitkit.laygraph import boolean_graph, complex_graph, hat
 from splitkit.mobius import (
@@ -100,7 +100,7 @@ def test_hilbert_inverse_examples():
 def test_hilbert_inverse_times_series_is_one():
     for _, g in full_graph_corpus():
         d = 2 * g.height
-        inv = hilbert_series_inverse(g, check_degree=False)
+        inv = hilbert_series_inverse(g)
         assert series_mul(hilbert_series(g, d), inv.to_series(d)) == IntPolynomial([1]).to_series(d)
 
 
@@ -122,9 +122,7 @@ def test_inverse_degree_equals_height_except_hatted_euler_trivial():
     assert hilbert_series_inverse(hat(complex_graph(boundary_delta3()))).degree == 4
     for x in (delta2(), rp2_six()):
         g = hat(complex_graph(x))
-        with pytest.raises(DegreeMismatch):
-            hilbert_series_inverse(g)
-        assert hilbert_series_inverse(g, check_degree=False).degree == g.height - 1
+        assert hilbert_series_inverse(g).degree == g.height - 1
 
 
 def test_strict_mobius_breaks_the_oracle():

@@ -1,9 +1,11 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from splitkit.cli import main
 from splitkit.errors import FaceNotInComplex, HypothesisViolation
 from splitkit.exactlinalg import GF2, GF3, RATIONALS, DenseMatrix
 from splitkit.fixtures import (
@@ -27,37 +29,42 @@ from splitkit.topo import (
 
 
 def test_betti_of_cone_is_trivial():
-    assert betti(delta2(), RATIONALS, reduced=True).b == (0, 0, 0)
-    assert betti(delta2(), GF2, reduced=True).b == (0, 0, 0)
+    assert betti(delta2(), RATIONALS).b == (0, 0, 0)
+    assert betti(delta2(), GF2).b == (0, 0, 0)
 
 
 def test_betti_of_sphere():
-    assert betti(boundary_delta3(), RATIONALS, reduced=True).b == (0, 0, 1)
-    assert betti(boundary_delta3(), GF2, reduced=True).b == (0, 0, 1)
+    assert betti(boundary_delta3(), RATIONALS).b == (0, 0, 1)
+    assert betti(boundary_delta3(), GF2).b == (0, 0, 1)
 
 
 def test_betti_of_projective_plane_depends_on_characteristic():
-    assert betti(rp2_six(), GF2, reduced=True).b == (0, 1, 1)
-    assert betti(rp2_six(), RATIONALS, reduced=True).b == (0, 0, 0)
-    assert betti(rp2_six(), GF3, reduced=True).b == (0, 0, 0)
+    assert betti(rp2_six(), GF2).b == (0, 1, 1)
+    assert betti(rp2_six(), RATIONALS).b == (0, 0, 0)
+    assert betti(rp2_six(), GF3).b == (0, 0, 0)
 
 
-def test_unreduced_betti_counts_components():
-    two_points = SimplicialComplex([[1], [2]])
-    assert betti(two_points, RATIONALS, reduced=False).b == (2,)
-    assert betti(two_points, RATIONALS, reduced=True).b == (1,)
+def test_unreduced_betti_counts_components(capsys, tmp_path):
+    two_points = tmp_path / "two_points.json"
+    two_points.write_text(json.dumps({"facets": [[1], [2]]}), encoding="utf-8")
+    main(["topology", "--complex", str(two_points), "--field", "q"])
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["betti_unreduced"] == [2]
+    assert rep["betti_reduced"] == [1]
 
 
 def test_boundary_composite_vanishes():
-    # densified here and multiplied densely, independent of the sparse check in boundary_columns
+    # densified here and multiplied densely, independent of the sparse check in boundary_columns:
+    # exactly over the integers before any field is applied, then over Q and GF(2)
     for x in (delta2(), boundary_delta3(), rp2_six(), wedge_triangles()):
+        maps = boundary_columns(x)
+        heights = [1] + [len(cols) for cols in maps]
+        ints = [[[col.get(r, 0) for col in cols] for r in range(heights[k])] for k, cols in enumerate(maps)]
+        for k in range(1, len(ints)):
+            product = [[sum(a * b for a, b in zip(row, column)) for column in zip(*ints[k])] for row in ints[k - 1]]
+            assert not any(any(row) for row in product), k
         for field in (RATIONALS, GF2):
-            maps = boundary_columns(x, field, reduced=True)
-            heights = [1] + [len(cols) for cols in maps]
-            mats = [
-                DenseMatrix([[col.get(r, 0) for col in cols] for r in range(heights[k])], field)
-                for k, cols in enumerate(maps)
-            ]
+            mats = [DenseMatrix(rows, field) for rows in ints]
             assert [m.cols for m in mats] == x.f_vector()
             for k in range(1, len(mats)):
                 assert (mats[k - 1] * mats[k]).is_zero()
@@ -66,22 +73,22 @@ def test_boundary_composite_vanishes():
 def test_euler_characteristic_identity_on_corpus():
     for x in (delta2(), boundary_delta3(), rp2_six(), wedge_triangles(), triangle_plus_edge()):
         for field in (RATIONALS, GF2):
-            b = betti(x, field, reduced=False)
-            assert euler_characteristic(x) == sum((-1) ** i * v for i, v in enumerate(b.b))
+            b = betti(x, field)
+            assert euler_characteristic(x) - 1 == sum((-1) ** i * v for i, v in enumerate(b.b))
 
 
 def test_betti_invariant_under_relabeling():
     x = rp2_six()
     relabeled = SimplicialComplex([[v * 10 for v in f] for f in reversed(x.facets)])
-    assert betti(x, GF2, True).b == betti(relabeled, GF2, True).b
+    assert betti(x, GF2).b == betti(relabeled, GF2).b
 
 
 def test_rational_betti_bounds_prime_field_betti():
     # universal-coefficients direction: passing to GF(p) can only add ranks
     for x in (delta2(), boundary_delta3(), rp2_six(), wedge_triangles(), triangle_plus_edge()):
-        over_q = betti(x, RATIONALS, reduced=True)
+        over_q = betti(x, RATIONALS)
         for field in (GF2, GF3):
-            over_p = betti(x, field, reduced=True)
+            over_p = betti(x, field)
             assert all(over_q[i] <= over_p[i] for i in range(x.dim + 1))
 
 
@@ -91,13 +98,13 @@ def test_order_complex_shapes():
     antichain = LayeredGraph([("m", 0), ("a", 1), ("b", 1), ("c", 1)], [("a", "m"), ("b", "m"), ("c", "m")])
     oc = order_complex(antichain, exclude={"m"})
     assert oc.facets == ((0,), (1,), (2,))
-    assert betti(oc, RATIONALS, reduced=True).b == (2,)
+    assert betti(oc, RATIONALS).b == (2,)
 
 
 def test_order_complex_of_diamond_is_contractible():
     oc = order_complex(boolean_graph(2))
     assert len(oc.facets) == 2 and all(len(f) == 3 for f in oc.facets)
-    assert betti(oc, RATIONALS, reduced=True).total() == 0
+    assert betti(oc, RATIONALS).total() == 0
 
 
 def test_order_complex_with_minimum_is_always_contractible():
@@ -110,21 +117,21 @@ def test_order_complex_with_minimum_is_always_contractible():
                 kept = {w for w in g.descendants()[v] if g.level(w) > lv - k} | {bottom}
                 oc = order_complex(g, exclude={w for w in g.ids() if w not in kept})
                 assert len(oc.vertices) == len(kept)
-                assert betti(oc, GF2, reduced=True).total() == 0
+                assert betti(oc, GF2).total() == 0
 
 
 def test_order_complex_of_face_poset_is_barycentric_subdivision():
     g = complex_graph(rp2_six())
     oc = order_complex(g, exclude={"∅"})
-    assert betti(oc, GF2, reduced=True).b == (0, 1, 1)
-    assert betti(oc, RATIONALS, reduced=True).b == (0, 0, 0)
+    assert betti(oc, GF2).b == (0, 1, 1)
+    assert betti(oc, RATIONALS).b == (0, 0, 0)
 
 
 def test_link_examples():
     x = boundary_delta3()
     lk = link(x, (1,))
     assert lk.facets == ((2, 3), (2, 4), (3, 4))  # a 3-cycle
-    assert betti(lk, RATIONALS, reduced=True).b == (0, 1)
+    assert betti(lk, RATIONALS).b == (0, 1)
     assert link(x, (1, 2)).facets == ((3,), (4,))  # two points
     assert link(x, (1, 2, 3)).is_empty()
     with pytest.raises(FaceNotInComplex):
@@ -167,7 +174,7 @@ def test_local_homology_verdict_equals_ranking_every_link(x):
             if top_j >= -1 and not any(lk):
                 expected = False
             elif top_j >= 0:
-                bv = betti(SimplicialComplex([f for f in lk if f]), field, reduced=True)
+                bv = betti(SimplicialComplex([f for f in lk if f]), field)
                 expected &= not any(bv[j] for j in range(top_j + 1))
         assert local_homology_vanishes(x, field) == expected, field
 
