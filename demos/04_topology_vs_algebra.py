@@ -29,9 +29,9 @@ from splitkit.fixtures import boundary_delta3, rp2_six, wedge_triangles
 
 print("== Betti numbers over different fields")
 rp2 = rp2_six()
-print("projective plane, reduced: over GF(2):", betti(rp2, GF2).b, "  over Q:", betti(rp2, RATIONALS).b)
+print("projective plane, reduced: over GF(2):", betti(rp2, GF2), "  over Q:", betti(rp2, RATIONALS))
 sphere = boundary_delta3()
-print("2-sphere, reduced:         over GF(2):", betti(sphere, GF2).b, " over Q:", betti(sphere, RATIONALS).b)
+print("2-sphere, reduced:         over GF(2):", betti(sphere, GF2), " over Q:", betti(sphere, RATIONALS))
 print()
 
 print("== Local homology via links")

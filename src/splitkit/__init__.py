@@ -83,7 +83,6 @@ from .seriespoly import (
     substitute_neg,
 )
 from .topo import (
-    BettiVector,
     KoszulityPrediction,
     betti,
     discrepancy_rhs_table,

@@ -204,7 +204,7 @@ def _cmd_topology(args) -> tuple:
     field = parse_field(args.field)
     desc = {"source": "complex", "facets": x.to_json_dict()["facets"]}
     desc["digest"] = _digest(desc)
-    reduced = list(betti(x, field).b)
+    reduced = list(betti(x, field))
     unreduced = list(reduced)
     if unreduced:  # b_0 = reduced b_0 + 1 on a nonempty complex; the empty one fails below
         unreduced[0] += 1

@@ -292,10 +292,12 @@ class SimplicialComplex:
     """Finite abstract simplicial complex given by its facets.
 
     Vertices are ints.  An empty facet list denotes the empty complex
-    (only the empty face), which arises as the link of a facet.
+    (only the empty face, dim -1), which arises as the link of a facet.
+    `faces[k]` holds the k-dimensional faces as sorted vertex tuples, in
+    sorted order; the table is built on first use.
     """
 
-    __slots__ = ("facets", "_faces")
+    __slots__ = ("dim", "facets", "_faces")
 
     def __init__(self, facets):
         by_size = {}
@@ -309,6 +311,7 @@ class SimplicialComplex:
         for n, fs in by_size.items():
             larger = [g for m, gs in by_size.items() if m > n for g in gs]
             maximal += [f for f in fs if not any(f < g for g in larger)]
+        self.dim = max(by_size, default=0) - 1  # before facets, which the immutability guard keys on
         self.facets = tuple(sorted(tuple(sorted(f)) for f in maximal))
         self._faces = None
 
@@ -321,36 +324,21 @@ class SimplicialComplex:
     def vertices(self) -> tuple:
         return tuple(sorted({v for f in self.facets for v in f}))
 
-    @property
-    def dim(self) -> int:
-        return max((len(f) for f in self.facets), default=0) - 1
-
     def is_empty(self) -> bool:
         return not self.facets
 
-    def all_faces(self) -> frozenset:
-        """Every nonempty face, as frozensets."""
+    @property
+    def faces(self) -> tuple:
         if self._faces is None:
-            faces = set()
+            rows = [set() for _ in range(self.dim + 1)]
             for f in self.facets:
-                for k in range(1, len(f) + 1):
-                    faces.update(map(frozenset, itertools.combinations(f, k)))
-            self._faces = frozenset(faces)
+                for k in range(len(f)):
+                    rows[k].update(itertools.combinations(f, k + 1))
+            self._faces = tuple(tuple(sorted(row)) for row in rows)
         return self._faces
 
-    def faces_of_dim(self, k: int) -> list:
-        """Sorted k-dimensional faces as tuples."""
-        return sorted(tuple(sorted(f)) for f in self.all_faces() if len(f) == k + 1)
-
-    def has_face(self, simplex) -> bool:
-        fs = frozenset(simplex)
-        return any(fs <= set(f) for f in self.facets)
-
     def f_vector(self) -> list:
-        out = [0] * (self.dim + 1)
-        for f in self.all_faces():
-            out[len(f) - 1] += 1
-        return out
+        return [len(row) for row in self.faces]
 
     def __eq__(self, other):
         return isinstance(other, SimplicialComplex) and self.facets == other.facets
@@ -395,21 +383,19 @@ def _require_face_cap(facets):
 def complex_graph(x: SimplicialComplex) -> LayeredGraph:
     """Face poset of a simplicial complex as a layered graph.
 
-    Each nonempty face sits at level dim+1; the empty face is the
-    level-0 minimum; edges join a face to its codimension-1 faces.
+    Each face of the table, a sorted vertex tuple, is the vertex
+    `set_id(face)` at level len(face); the empty face is the level-0
+    minimum; edges join a face to its codimension-1 faces.
     """
     if x.is_empty():
         raise ValueError("complex must have at least one facet")
     vertices = [(MIN_ID, 0)]
     edges = []
-    for face in x.all_faces():
-        fid = set_id(face)
-        vertices.append((fid, len(face)))
-        if len(face) == 1:
-            edges.append((fid, MIN_ID))
-        else:
-            for v in face:
-                edges.append((fid, set_id(face - {v})))
+    for row in x.faces:
+        for face in row:
+            fid = set_id(face)
+            vertices.append((fid, len(face)))
+            edges += [(fid, set_id(sub)) for sub in itertools.combinations(face, len(face) - 1)]
     return LayeredGraph(vertices, edges)
 
 
@@ -467,17 +453,26 @@ def is_pure(x: SimplicialComplex) -> bool:
 
 
 def _codim1_reached(x: SimplicialComplex) -> set:
-    """Indices of the facets joined to facet 0 by a path of shared codim-1 faces."""
+    """Indices of the facets joined to facet 0 by a path of shared codim-1 faces.
+
+    Two distinct facets meet in exactly dim vertices when they share a
+    dim-vertex subset: they are maximal, so they meet in more only when
+    both are the same top-dimensional facet.  The search walks an index
+    from each such subset to the facets that hold it.
+    """
     d = x.dim
-    facets = [set(f) for f in x.facets]
+    holders = {}
+    for i, f in enumerate(x.facets):
+        for ridge in itertools.combinations(f, d):
+            holders.setdefault(ridge, []).append(i)
     seen = {0}
     stack = [0]
     while stack:
-        i = stack.pop()
-        for j in range(len(facets)):
-            if j not in seen and len(facets[i] & facets[j]) == d:
-                seen.add(j)
-                stack.append(j)
+        for ridge in itertools.combinations(x.facets[stack.pop()], d):
+            for j in holders.pop(ridge, ()):
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
     return seen
 
 

@@ -3,16 +3,18 @@ the topological side of the discrepancy.
 
 Boundary maps are lists of sparse signed integer columns, built and
 checked over the integers; the field enters only when the exact
-EchelonBasis kernel ranks them (primitive integer rows over Q).  Betti
-numbers are reduced, and come from rank-nullity.  Ranks are taken from
-the top dimension down with clearing: a column of D_k whose index is a
-pivot of D_{k+1} is skipped, which leaves the rank unchanged.  Over a
-field, cohomology dimensions equal homology dimensions degreewise, so
-the homological ranks serve for both.  The down-set complexes Delta(v, k)
-of the discrepancy are read from the graph's own edges as downward
-paths; `order_complex` is the general construction.  The discrepancy's
-topological side is one rule, a signed sum of reduced Betti numbers of
-the Delta(v, k); docs/discrepancy_calibration.md derives it.
+EchelonBasis kernel ranks them (primitive integer rows over Q).  The
+maps and the local-homology walk both read the complex's face table.
+Betti numbers are reduced, come from rank-nullity, and are plain
+tuples.  Ranks are taken from the top dimension down with clearing: a
+column of D_k whose index is a pivot of D_{k+1} is skipped, which
+leaves the rank unchanged.  Over a field, cohomology dimensions equal
+homology dimensions degreewise, so the homological ranks serve for
+both.  The down-set complexes Delta(v, k) of the discrepancy are read
+from the graph's own edges as downward paths; `order_complex` is the
+general construction.  The discrepancy's topological side is one rule,
+a signed sum of reduced Betti numbers of the Delta(v, k);
+docs/discrepancy_calibration.md derives it.
 """
 
 from dataclasses import dataclass
@@ -22,30 +24,17 @@ from .exactlinalg import EchelonBasis, FieldSpec
 from .laygraph import LayeredGraph, SimplicialComplex, _codim1_reached, is_pure, require_path_cap, require_valid
 
 
-@dataclass(frozen=True)
-class BettiVector:
-    """Reduced Betti numbers b[i] for i = 0..dim, over the given field."""
-
-    b: tuple
-    field: FieldSpec
-
-    def __getitem__(self, i: int) -> int:
-        return self.b[i] if 0 <= i < len(self.b) else 0
-
-    def total(self) -> int:
-        return sum(self.b)
-
-
 def boundary_columns(x: SimplicialComplex) -> list:
     """[D_0, ..., D_dim] with D_k the boundary map C_k -> C_{k-1}.
 
     Each D_k is a list of sparse integer columns {row: +-1}, one per
-    k-simplex; D_0 is the augmentation row.  Simplices are ordered by
-    sorted vertex tuple; the sign of dropping position j is (-1)^j.  The
-    composite of consecutive maps is checked to vanish over the integers,
-    which implies it vanishes over every field.
+    k-simplex of the face table row x.faces[k], in its order; D_0 is the
+    augmentation row.  The sign of dropping position j of a simplex's
+    sorted vertex tuple is (-1)^j.  The composite of consecutive maps is
+    checked to vanish over the integers, which implies it vanishes over
+    every field.
     """
-    bases = [x.faces_of_dim(k) for k in range(x.dim + 1)]
+    bases = x.faces
     maps = [[{0: 1} for _ in bases[0]]]
     for k in range(1, x.dim + 1):
         index = {s: i for i, s in enumerate(bases[k - 1])}
@@ -69,8 +58,11 @@ def boundary_columns(x: SimplicialComplex) -> list:
     return maps
 
 
-def betti(x: SimplicialComplex, field: FieldSpec) -> BettiVector:
-    """Reduced Betti numbers b_i = nullity(D_i) - rank(D_{i+1}) for i = 0..dim.
+def betti(x: SimplicialComplex, field: FieldSpec) -> tuple:
+    """Reduced Betti numbers (b_0, ..., b_dim), b_i = nullity(D_i) - rank(D_{i+1}).
+
+    A plain tuple of length dim + 1, so () for the empty complex; slice
+    it to read degrees that may lie past the top.
 
     Ranks are taken from the top down with clearing: column i of D_k is
     skipped when i is a pivot of D_{k+1}'s echelon basis.  That pivot is
@@ -80,7 +72,7 @@ def betti(x: SimplicialComplex, field: FieldSpec) -> BettiVector:
     span of the kept columns, so skipping leaves the rank unchanged.
     """
     if x.is_empty():
-        return BettiVector((), field)
+        return ()
     maps = boundary_columns(x)
     ranks = [0] * (len(maps) + 1)
     cleared = set()
@@ -91,8 +83,7 @@ def betti(x: SimplicialComplex, field: FieldSpec) -> BettiVector:
                 basis.insert(col)
         ranks[k] = basis.rank
         cleared = basis.pivots.keys()
-    b = tuple(len(maps[i]) - ranks[i] - ranks[i + 1] for i in range(len(maps)))
-    return BettiVector(b, field)
+    return tuple(len(maps[i]) - ranks[i] - ranks[i + 1] for i in range(len(maps)))
 
 
 def euler_characteristic(x: SimplicialComplex) -> int:
@@ -139,9 +130,9 @@ def order_complex(g: LayeredGraph, exclude=frozenset()) -> SimplicialComplex:
 def link(x: SimplicialComplex, simplex) -> SimplicialComplex:
     """Link of a face: all faces disjoint from it whose union with it is a face."""
     s = frozenset(simplex)
-    if not x.has_face(s):
+    facets = [set(f) - s for f in x.facets if s.issubset(f)]
+    if not facets:
         raise FaceNotInComplex(f"{sorted(s)} is not a face")
-    facets = [set(f) - s for f in x.facets if s <= set(f)]
     return SimplicialComplex([f for f in facets if f])
 
 
@@ -151,20 +142,20 @@ def local_homology_vanishes(x: SimplicialComplex, field: FieldSpec) -> bool:
     At a point in the open cell of a k-face, local homology in degree i
     is the reduced link homology in degree i-k-1; local homology is
     constant on open cells, so one check per face covers every point.
+    Faces of dimension n and above have nothing to check, so the walk
+    reads the rows 0..n-1 of the face table in order.
     """
     n = x.dim
-    for face in sorted(x.all_faces(), key=lambda f: (len(f), tuple(sorted(f)))):
-        k = len(face) - 1
+    for k, row in enumerate(x.faces[:n]):
         top_j = n - k - 2  # highest reduced link degree that must vanish
-        if top_j < -1:
-            continue
-        lk = link(x, face)
-        if lk.is_empty():
-            return False  # reduced degree -1 of the empty link is nonzero
-        # a link whose facets share a vertex is a cone, and a cone is acyclic
-        if top_j >= 0 and not frozenset.intersection(*map(frozenset, lk.facets)):
-            bv = betti(lk, field)
-            if any(bv[j] for j in range(0, top_j + 1)):
+        for face in row:
+            lk = link(x, face)
+            if lk.is_empty():
+                return False  # reduced degree -1 of the empty link is nonzero
+            if top_j < 0:
+                continue
+            # a link whose facets share a vertex is a cone, and a cone is acyclic
+            if not frozenset.intersection(*map(frozenset, lk.facets)) and any(betti(lk, field)[: top_j + 1]):
                 return False
     return True
 
@@ -200,8 +191,7 @@ def predict_koszulity(x: SimplicialComplex, field: FieldSpec) -> KoszulityPredic
             "complex is not connected through codimension-one faces: no such path "
             f"between facets {list(x.facets[0])} and {list(x.facets[stranded])}"
         )
-    bv = betti(x, field)
-    low = all(bv[i] == 0 for i in range(n))
+    low = not any(betti(x, field)[:n])
     local = local_homology_vanishes(x, field)
     return KoszulityPrediction(low and local, low, local, n, field)
 
@@ -226,7 +216,7 @@ def _vertex_contribution(g, rank, v, k, field) -> int:
     # for k >= 2 the down-set holds v's children, so reduced degree -1 is 0;
     # the top degree k-2 never enters
     bv = betti(SimplicialComplex(_down_paths(g, rank, v, k)), field)
-    return sum((1 if (k - 1 + i) % 2 == 0 else -1) * bv[i] for i in range(k - 2))
+    return sum((1 if (k - 1 + i) % 2 == 0 else -1) * b for i, b in enumerate(bv[: k - 2]))
 
 
 def discrepancy_rhs_table(g: LayeredGraph, field: FieldSpec) -> list:

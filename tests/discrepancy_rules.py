@@ -28,7 +28,7 @@ def plain_sum_table(g, field, cone, reduced=True) -> list:
         for v, lv in g.vertices:
             if lv >= k:
                 facets = [(-1,) * cone + p for p in _down_paths(g, rank, v, k)]
-                b = betti(SimplicialComplex([f for f in facets if f]), field).b
+                b = betti(SimplicialComplex([f for f in facets if f]), field)
                 if b and not reduced:
                     table[k] += 1  # unreduced b_0 = reduced b_0 + 1 on a nonempty complex
                 table[k] += sum(b[: max(lv, 1)])  # the minimum's cone at k = 0 still has b_0

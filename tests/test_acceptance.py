@@ -187,7 +187,7 @@ def test_criterion_8_property_suites():
             ]
             ok &= all((mats[k - 1] * mats[k]).is_zero() for k in range(1, len(mats)))
             b = betti(x, field)
-            ok &= euler_characteristic(x) - 1 == sum((-1) ** i * v for i, v in enumerate(b.b))
+            ok &= euler_characteristic(x) - 1 == sum((-1) ** i * v for i, v in enumerate(b))
     # randomized reconstruction identities, 1000 cases each
     rng = random.Random(99)
     for _ in range(1000):

@@ -114,9 +114,9 @@ complexes = st.lists(
 def test_cone_is_acyclic_and_euler_characteristic(x, field):
     apex = 6  # at most 7 vertices in the cone
     cone = SimplicialComplex([f + (apex,) for f in x.facets])
-    assert betti(cone, field).total() == 0
+    assert sum(betti(cone, field)) == 0
     b = betti(x, field)
-    assert euler_characteristic(x) - 1 == sum((-1) ** i * v for i, v in enumerate(b.b))
+    assert euler_characteristic(x) - 1 == sum((-1) ** i * v for i, v in enumerate(b))
 
 
 @st.composite
@@ -224,7 +224,7 @@ def test_cleared_betti_equals_ranks_of_every_column(x, field):
     maps = boundary_columns(x)
     ranks = [_rank(cols, field) for cols in maps] + [0]
     expected = tuple(len(maps[i]) - ranks[i] - ranks[i + 1] for i in range(len(maps)))
-    assert betti(x, field).b == expected
+    assert betti(x, field) == expected
 
 
 fraction_rows = st.lists(

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from splitkit.errors import SizeLimit, ValidationError
 from splitkit.fixtures import (
@@ -15,6 +17,7 @@ from splitkit.fixtures import (
 from splitkit.laygraph import (
     LayeredGraph,
     SimplicialComplex,
+    _codim1_reached,
     boolean_graph,
     complex_graph,
     count_down_paths,
@@ -228,9 +231,77 @@ def test_simplicial_complex_canonicalization():
     assert x.facets == ((1, 2, 3),)
     assert x.dim == 2
     assert x.f_vector() == [3, 3, 1]
-    assert x.has_face([2, 3]) and not x.has_face([4])
+    assert (2, 3) in x.faces[1] and (4,) not in x.faces[0]
+    empty = SimplicialComplex([])
+    assert empty.dim == -1 and empty.faces == () and empty.f_vector() == []
     with pytest.raises(ValueError):
         SimplicialComplex([[]])
+
+
+@st.composite
+def facet_lists(draw):
+    """Facet lists on at most 8 vertices: pure ones, lone points, and mixed
+    sizes, each with some input facets that lie inside others."""
+    kind = draw(st.sampled_from(("pure", "points", "mixed")))
+    if kind == "pure":
+        d = draw(st.integers(0, 4))
+        facets = draw(st.lists(st.sampled_from(list(itertools.combinations(range(8), d + 1))), min_size=1, max_size=12))
+    elif kind == "points":
+        facets = [(v,) for v in draw(st.sets(st.integers(0, 7), min_size=1))]
+    else:
+        facets = draw(st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=5), min_size=1, max_size=10))
+    inside = [list(f)[: draw(st.integers(1, len(f)))] for f in draw(st.lists(st.sampled_from(facets), max_size=3))]
+    return [list(f) for f in draw(st.permutations(list(facets) + inside))]
+
+
+def _subset_faces(facets) -> tuple:
+    """Face table by brute force: every nonempty subset of every input facet, by bitmask."""
+    faces = set()
+    for f in facets:
+        f = sorted(set(f))
+        for mask in range(1, 2 ** len(f)):
+            faces.add(tuple(v for i, v in enumerate(f) if mask >> i & 1))
+    top = max(map(len, faces), default=0)
+    return tuple(tuple(sorted(s for s in faces if len(s) == k + 1)) for k in range(top))
+
+
+def _pairwise_codim1_reached(x) -> set:
+    """Indices of the facets joined to facet 0, found by intersecting every pair of facets."""
+    d = x.dim
+    facets = [set(f) for f in x.facets]
+    seen = {0}
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in range(len(facets)):
+            if j not in seen and len(facets[i] & facets[j]) == d:
+                seen.add(j)
+                stack.append(j)
+    return seen
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@seed(20090941)
+@given(facet_lists())
+def test_face_table_equals_subsets_of_every_facet(facets):
+    x = SimplicialComplex(facets)
+    expected = _subset_faces(facets)
+    assert x.faces == expected
+    assert x.dim == len(expected) - 1 == max(len(set(f)) for f in facets) - 1
+    assert x.f_vector() == [len(row) for row in expected]
+    # non-maximal input facets are dropped, and their faces stay in the table
+    assert all(not set(f) < set(g) for f in x.facets for g in x.facets)
+    assert x.faces == _subset_faces(x.facets)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@seed(20090942)
+@given(facet_lists())
+def test_codim1_reach_equals_pairwise_intersections(facets):
+    x = SimplicialComplex(facets)
+    reached = _pairwise_codim1_reached(x)
+    assert _codim1_reached(x) == reached
+    assert is_codim1_connected(x) == (len(reached) == len(x.facets))
 
 
 def test_graph_json_round_trip():

@@ -29,19 +29,19 @@ from splitkit.topo import (
 
 
 def test_betti_of_cone_is_trivial():
-    assert betti(delta2(), RATIONALS).b == (0, 0, 0)
-    assert betti(delta2(), GF2).b == (0, 0, 0)
+    assert betti(delta2(), RATIONALS) == (0, 0, 0)
+    assert betti(delta2(), GF2) == (0, 0, 0)
 
 
 def test_betti_of_sphere():
-    assert betti(boundary_delta3(), RATIONALS).b == (0, 0, 1)
-    assert betti(boundary_delta3(), GF2).b == (0, 0, 1)
+    assert betti(boundary_delta3(), RATIONALS) == (0, 0, 1)
+    assert betti(boundary_delta3(), GF2) == (0, 0, 1)
 
 
 def test_betti_of_projective_plane_depends_on_characteristic():
-    assert betti(rp2_six(), GF2).b == (0, 1, 1)
-    assert betti(rp2_six(), RATIONALS).b == (0, 0, 0)
-    assert betti(rp2_six(), GF3).b == (0, 0, 0)
+    assert betti(rp2_six(), GF2) == (0, 1, 1)
+    assert betti(rp2_six(), RATIONALS) == (0, 0, 0)
+    assert betti(rp2_six(), GF3) == (0, 0, 0)
 
 
 def test_unreduced_betti_counts_components(capsys, tmp_path):
@@ -74,13 +74,13 @@ def test_euler_characteristic_identity_on_corpus():
     for x in (delta2(), boundary_delta3(), rp2_six(), wedge_triangles(), triangle_plus_edge()):
         for field in (RATIONALS, GF2):
             b = betti(x, field)
-            assert euler_characteristic(x) - 1 == sum((-1) ** i * v for i, v in enumerate(b.b))
+            assert euler_characteristic(x) - 1 == sum((-1) ** i * v for i, v in enumerate(b))
 
 
 def test_betti_invariant_under_relabeling():
     x = rp2_six()
     relabeled = SimplicialComplex([[v * 10 for v in f] for f in reversed(x.facets)])
-    assert betti(x, GF2).b == betti(relabeled, GF2).b
+    assert betti(x, GF2) == betti(relabeled, GF2)
 
 
 def test_rational_betti_bounds_prime_field_betti():
@@ -98,13 +98,13 @@ def test_order_complex_shapes():
     antichain = LayeredGraph([("m", 0), ("a", 1), ("b", 1), ("c", 1)], [("a", "m"), ("b", "m"), ("c", "m")])
     oc = order_complex(antichain, exclude={"m"})
     assert oc.facets == ((0,), (1,), (2,))
-    assert betti(oc, RATIONALS).b == (2,)
+    assert betti(oc, RATIONALS) == (2,)
 
 
 def test_order_complex_of_diamond_is_contractible():
     oc = order_complex(boolean_graph(2))
     assert len(oc.facets) == 2 and all(len(f) == 3 for f in oc.facets)
-    assert betti(oc, RATIONALS).total() == 0
+    assert sum(betti(oc, RATIONALS)) == 0
 
 
 def test_order_complex_with_minimum_is_always_contractible():
@@ -117,25 +117,32 @@ def test_order_complex_with_minimum_is_always_contractible():
                 kept = {w for w in g.descendants()[v] if g.level(w) > lv - k} | {bottom}
                 oc = order_complex(g, exclude={w for w in g.ids() if w not in kept})
                 assert len(oc.vertices) == len(kept)
-                assert betti(oc, GF2).total() == 0
+                assert sum(betti(oc, GF2)) == 0
 
 
 def test_order_complex_of_face_poset_is_barycentric_subdivision():
     g = complex_graph(rp2_six())
     oc = order_complex(g, exclude={"∅"})
-    assert betti(oc, GF2).b == (0, 1, 1)
-    assert betti(oc, RATIONALS).b == (0, 0, 0)
+    assert betti(oc, GF2) == (0, 1, 1)
+    assert betti(oc, RATIONALS) == (0, 0, 0)
 
 
 def test_link_examples():
     x = boundary_delta3()
     lk = link(x, (1,))
     assert lk.facets == ((2, 3), (2, 4), (3, 4))  # a 3-cycle
-    assert betti(lk, RATIONALS).b == (0, 1)
+    assert betti(lk, RATIONALS) == (0, 1)
     assert link(x, (1, 2)).facets == ((3,), (4,))  # two points
-    assert link(x, (1, 2, 3)).is_empty()
+    facet_link = link(x, (1, 2, 3))
+    assert facet_link.is_empty() and facet_link.dim == -1 and facet_link.faces == ()
+    assert link(x, ()) == x
     with pytest.raises(FaceNotInComplex):
         link(x, (1, 5))
+    with pytest.raises(FaceNotInComplex):
+        link(rp2_six(), (1, 2, 4))  # its three edges are faces
+    for simplex in ((), (0,)):
+        with pytest.raises(FaceNotInComplex):
+            link(SimplicialComplex([]), simplex)
 
 
 def test_local_homology_examples():
@@ -168,14 +175,14 @@ def test_local_homology_verdict_equals_ranking_every_link(x):
     # the oracle builds each link from the facets and ranks its homology, cone or not
     for field in (RATIONALS, GF2):
         expected = True
-        for face in x.all_faces():
+        for face in map(frozenset, itertools.chain.from_iterable(x.faces)):
             top_j = x.dim - len(face) - 1
             lk = [set(f) - face for f in x.facets if face <= set(f)]
             if top_j >= -1 and not any(lk):
                 expected = False
             elif top_j >= 0:
                 bv = betti(SimplicialComplex([f for f in lk if f]), field)
-                expected &= not any(bv[j] for j in range(top_j + 1))
+                expected &= not any(bv[: top_j + 1])
         assert local_homology_vanishes(x, field) == expected, field
 
 
