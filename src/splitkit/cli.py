@@ -31,6 +31,7 @@ from .exactlinalg import RATIONALS, DenseMatrix, parse_field
 from .laygraph import (
     LayeredGraph,
     SimplicialComplex,
+    _codim1_reached,
     _json_int,
     boolean_graph,
     complex_graph,
@@ -41,10 +42,10 @@ from .laygraph import (
     subspace_graph,
     validate,
 )
-from .mobius import graded_mobius, hilbert_series, hilbert_series_inverse
+from .mobius import graded_mobius, hilbert_series_and_inverse
 from .ncfactor import RootSystem, check_diamonds, genericity_check
 from .seriespoly import coeffs_as_strings
-from .topo import betti, discrepancy_rhs_table, euler_characteristic, predict_koszulity
+from .topo import _koszulity, betti, discrepancy_rhs_table, euler_characteristic
 
 _MATH_ERRORS = (
     GenericityFailure,
@@ -142,8 +143,7 @@ def _cmd_mobius(args) -> tuple:
 
 def _cmd_hilbert(args) -> tuple:
     g, _, desc = _build_graph(args)
-    series = hilbert_series(g, args.degree)
-    inv = hilbert_series_inverse(g)
+    series, inv = hilbert_series_and_inverse(g, args.degree)
     payload = {
         "truncation": series.truncation,
         "series": coeffs_as_strings(series),
@@ -204,7 +204,9 @@ def _cmd_topology(args) -> tuple:
     field = parse_field(args.field)
     desc = {"source": "complex", "facets": x.to_json_dict()["facets"]}
     desc["digest"] = _digest(desc)
-    reduced = list(betti(x, field))
+    reduced = betti(x, field)
+    pure = is_pure(x)
+    reached = _codim1_reached(x)
     unreduced = list(reduced)
     if unreduced:  # b_0 = reduced b_0 + 1 on a nonempty complex; the empty one fails below
         unreduced[0] += 1
@@ -213,13 +215,13 @@ def _cmd_topology(args) -> tuple:
         "dim": x.dim,
         "f_vector": x.f_vector(),
         "euler_characteristic": euler_characteristic(x),
-        "betti_reduced": reduced,
+        "betti_reduced": list(reduced),
         "betti_unreduced": unreduced,
-        "pure": is_pure(x),
-        "codim1_connected": is_codim1_connected(x),
+        "pure": pure,
+        "codim1_connected": len(reached) == len(x.facets),  # read only when x is nonempty
     }
     try:
-        verdict = predict_koszulity(x, field)
+        verdict = _koszulity(x, field, reduced, pure, reached)
     except HypothesisViolation as exc:
         payload["koszulity_prediction"] = {"hypothesis_violation": str(exc)}
         return desc, payload, 1
@@ -293,69 +295,81 @@ def _cmd_factor(args) -> tuple:
     return desc, payload, 0 if chk.passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_field(p):
+    p.add_argument("--field", required=True, help="q or gf<p>")
+
+
+def _add_out(p):
+    p.add_argument("--out", metavar="FILE", help="also write the graph JSON to a file")
+
+
+def _add_degree(p):
+    p.add_argument("-D", "--degree", type=int, help="truncation degree (default: 2 x height)")
+
+
+def _add_complex(p):
+    p.add_argument("--complex", required=True, metavar="FILE", help="simplicial complex JSON")
+
+
+def _add_roots(p):
+    p.add_argument("roots", metavar="ROOTS_JSON", help='{"d": size, "roots": [[["p/q", ...], ...], ...]}')
+
+
+# name -> (help, runner, adders of the arguments before --pretty and --timings), in help order
+_SUBCOMMANDS = {
+    "graph": (
+        "build/validate a layered graph; report uniformity and purity",
+        _cmd_graph,
+        (_add_graph_source, _add_out),
+    ),
+    "mobius": ("graded Möbius polynomial of the graph poset", _cmd_mobius, (_add_graph_source,)),
+    "hilbert": (
+        "Hilbert series of the edge algebra and its inverse polynomial",
+        _cmd_hilbert,
+        (_add_graph_source, _add_degree),
+    ),
+    "dual": ("vertex-algebra presentation and graded dimensions", _cmd_dual, (_add_graph_source, _add_field)),
+    "koszul-check": ("numerical Koszulity: series side vs algebra side", _cmd_koszul, (_add_graph_source, _add_field)),
+    "discrepancy": (
+        "degreewise series/algebra discrepancy vs its topological formula",
+        _cmd_discrepancy,
+        (_add_graph_source, _add_field),
+    ),
+    "topology": ("Betti numbers and the homological Koszulity prediction", _cmd_topology, (_add_complex, _add_field)),
+    "factor": ("all factorizations of the polynomial with the given matrix roots", _cmd_factor, (_add_roots,)),
+}
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser, with every subcommand or with `only` that one.
+
+    A request that names its subcommand first needs no other subparser.
+    The one-subcommand parser lists every name in its usage line, so an
+    "unrecognized arguments" error reads the same as from the full one;
+    the full parser keeps argparse's own metavar, which also names `cmd`
+    in its "required" and "invalid choice" errors.
+    """
     parser = argparse.ArgumentParser(
         prog="splitkit",
         description="Exact computations on layered graphs, their algebras, and matrix-polynomial factorizations.",
     )
     parser.add_argument("--version", action="version", version=f"splitkit {__version__}")
-    sub = parser.add_subparsers(dest="cmd", required=True)
-
-    def common(p):
-        p.add_argument("--pretty", action="store_true", help="indented JSON output (default: compact)")
-        p.add_argument("--timings", action="store_true", help="include wall-clock timings in the report")
-
-    p = sub.add_parser("graph", help="build/validate a layered graph; report uniformity and purity")
-    _add_graph_source(p)
-    p.add_argument("--out", metavar="FILE", help="also write the graph JSON to a file")
-    common(p)
-    p.set_defaults(run=_cmd_graph)
-
-    p = sub.add_parser("mobius", help="graded Möbius polynomial of the graph poset")
-    _add_graph_source(p)
-    common(p)
-    p.set_defaults(run=_cmd_mobius)
-
-    p = sub.add_parser("hilbert", help="Hilbert series of the edge algebra and its inverse polynomial")
-    _add_graph_source(p)
-    p.add_argument("-D", "--degree", type=int, help="truncation degree (default: 2 x height)")
-    common(p)
-    p.set_defaults(run=_cmd_hilbert)
-
-    p = sub.add_parser("dual", help="vertex-algebra presentation and graded dimensions")
-    _add_graph_source(p)
-    p.add_argument("--field", required=True, help="q or gf<p>")
-    common(p)
-    p.set_defaults(run=_cmd_dual)
-
-    p = sub.add_parser("koszul-check", help="numerical Koszulity: series side vs algebra side")
-    _add_graph_source(p)
-    p.add_argument("--field", required=True, help="q or gf<p>")
-    common(p)
-    p.set_defaults(run=_cmd_koszul)
-
-    p = sub.add_parser("discrepancy", help="degreewise series/algebra discrepancy vs its topological formula")
-    _add_graph_source(p)
-    p.add_argument("--field", required=True, help="q or gf<p>")
-    common(p)
-    p.set_defaults(run=_cmd_discrepancy)
-
-    p = sub.add_parser("topology", help="Betti numbers and the homological Koszulity prediction")
-    p.add_argument("--complex", required=True, metavar="FILE", help="simplicial complex JSON")
-    p.add_argument("--field", required=True, help="q or gf<p>")
-    common(p)
-    p.set_defaults(run=_cmd_topology)
-
-    p = sub.add_parser("factor", help="all factorizations of the polynomial with the given matrix roots")
-    p.add_argument("roots", metavar="ROOTS_JSON", help='{"d": size, "roots": [[["p/q", ...], ...], ...]}')
-    common(p)
-    p.set_defaults(run=_cmd_factor)
-
+    metavar = None if only is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="cmd", required=True, metavar=metavar)
+    for name, (help_text, run, adders) in _SUBCOMMANDS.items():
+        if only in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            for add in adders:
+                add(p)
+            p.add_argument("--pretty", action="store_true", help="indented JSON output (default: compact)")
+            p.add_argument("--timings", action="store_true", help="include wall-clock timings in the report")
+            p.set_defaults(run=run)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:

@@ -294,10 +294,10 @@ class SimplicialComplex:
     Vertices are ints.  An empty facet list denotes the empty complex
     (only the empty face, dim -1), which arises as the link of a facet.
     `faces[k]` holds the k-dimensional faces as sorted vertex tuples, in
-    sorted order; the table is built on first use.
+    sorted order; the table is built on first use, as is `star`.
     """
 
-    __slots__ = ("dim", "facets", "_faces")
+    __slots__ = ("dim", "facets", "_faces", "_star")
 
     def __init__(self, facets):
         by_size = {}
@@ -314,9 +314,10 @@ class SimplicialComplex:
         self.dim = max(by_size, default=0) - 1  # before facets, which the immutability guard keys on
         self.facets = tuple(sorted(tuple(sorted(f)) for f in maximal))
         self._faces = None
+        self._star = None
 
     def __setattr__(self, name, value):
-        if hasattr(self, "facets") and name != "_faces":
+        if hasattr(self, "facets") and name not in ("_faces", "_star"):
             raise AttributeError("SimplicialComplex is immutable")
         super().__setattr__(name, value)
 
@@ -336,6 +337,17 @@ class SimplicialComplex:
                     rows[k].update(itertools.combinations(f, k + 1))
             self._faces = tuple(tuple(sorted(row)) for row in rows)
         return self._faces
+
+    @property
+    def star(self) -> dict:
+        """Vertex -> the facets that hold it, in facet order."""
+        if self._star is None:
+            star = {}
+            for f in self.facets:
+                for v in f:
+                    star.setdefault(v, []).append(f)
+            self._star = star
+        return self._star
 
     def f_vector(self) -> list:
         return [len(row) for row in self.faces]
@@ -458,15 +470,16 @@ def _codim1_reached(x: SimplicialComplex) -> set:
     Two distinct facets meet in exactly dim vertices when they share a
     dim-vertex subset: they are maximal, so they meet in more only when
     both are the same top-dimensional facet.  The search walks an index
-    from each such subset to the facets that hold it.
+    from each such subset to the facets that hold it.  The empty complex
+    reaches no facet.
     """
     d = x.dim
     holders = {}
     for i, f in enumerate(x.facets):
         for ridge in itertools.combinations(f, d):
             holders.setdefault(ridge, []).append(i)
-    seen = {0}
-    stack = [0]
+    seen = {0} if x.facets else set()
+    stack = list(seen)
     while stack:
         for ridge in itertools.combinations(x.facets[stack.pop()], d):
             for j in holders.pop(ridge, ()):

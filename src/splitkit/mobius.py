@@ -98,14 +98,22 @@ def hilbert_series(g: LayeredGraph, truncation: int | None = None) -> TruncatedS
     convention bug and raises.
     """
     require_valid(g)
+    d = _truncation(g, truncation)
+    return _series(_one_minus_tau_m(g), d)
+
+
+def _truncation(g: LayeredGraph, truncation: int | None) -> int:
     d = 2 * g.height if truncation is None else truncation
     cap = size_cap(TRUNCATION_CAP)
     if d > cap:
         raise SizeLimit(f"truncation degree {d} exceeds cap {cap}")
     if d < 0:
         raise ValueError(f"truncation degree {d} is negative")
-    denom = _one_minus_tau_m(g).to_series(d)
-    series = series_mul(IntPolynomial([1, -1]).to_series(d), series_inverse(denom))
+    return d
+
+
+def _series(num: IntPolynomial, d: int) -> TruncatedSeries:
+    series = series_mul(IntPolynomial([1, -1]).to_series(d), series_inverse(num.to_series(d)))
     for k, c in enumerate(series.coeffs):
         if c < 0:
             raise NegativeDimension(f"coefficient {c} at degree {k}")
@@ -137,8 +145,22 @@ def hilbert_series_inverse(g: LayeredGraph) -> IntPolynomial:
     complex whose order complex has zero reduced Euler characteristic.
     """
     require_valid(g)
-    num = _one_minus_tau_m(g)
+    return _inverse(_one_minus_tau_m(g))
+
+
+def _inverse(num: IntPolynomial) -> IntPolynomial:
     quotient, remainder = poly_divide(num, IntPolynomial([1, -1]))
     if not remainder.is_zero():
         raise NonzeroRemainder(f"remainder {remainder!r} dividing {num!r} by (1 - tau)")
     return quotient
+
+
+def hilbert_series_and_inverse(g: LayeredGraph, truncation: int | None = None) -> tuple:
+    """(hilbert_series(g, truncation), hilbert_series_inverse(g)) from one graded_mobius build.
+
+    Raises what the two calls in that order would raise.
+    """
+    require_valid(g)
+    d = _truncation(g, truncation)
+    num = _one_minus_tau_m(g)
+    return _series(num, d), _inverse(num)

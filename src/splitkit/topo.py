@@ -8,13 +8,17 @@ maps and the local-homology walk both read the complex's face table.
 Betti numbers are reduced, come from rank-nullity, and are plain
 tuples.  Ranks are taken from the top dimension down with clearing: a
 column of D_k whose index is a pivot of D_{k+1} is skipped, which
-leaves the rank unchanged.  Over a field, cohomology dimensions equal
-homology dimensions degreewise, so the homological ranks serve for
-both.  The down-set complexes Delta(v, k) of the discrepancy are read
-from the graph's own edges as downward paths; `order_complex` is the
-general construction.  The discrepancy's topological side is one rule,
-a signed sum of reduced Betti numbers of the Delta(v, k);
-docs/discrepancy_calibration.md derives it.
+leaves the rank unchanged.  One reduction also ranks a filtration by
+least vertex: each stage's faces are a suffix of every face-table row,
+so columns go in from the end of the row and each stage's rank is read
+at its cut.  Over a field, cohomology dimensions equal homology
+dimensions degreewise, so the homological ranks serve for both.  The
+discrepancy's topological side is one rule, a signed sum of reduced
+Betti numbers of the down-set complexes Delta(v, k);
+docs/discrepancy_calibration.md derives it.  Each vertex v builds one
+complex, Delta(v, level v), from the graph's own edges as downward
+paths, and its Delta(v, k) are the stages of its filtration by depth;
+`order_complex` is the general construction.
 """
 
 from dataclasses import dataclass
@@ -58,32 +62,56 @@ def boundary_columns(x: SimplicialComplex) -> list:
     return maps
 
 
+def _filtered_betti(x: SimplicialComplex, field: FieldSpec, starts) -> list:
+    """Reduced Betti numbers of the full subcomplexes X_t of x on the vertices >= t, for t in `starts`.
+
+    `starts` descends, so the X_t grow: a filtration of x.  A face lies in
+    X_t when its least vertex is >= t, and the face table rows are sorted,
+    so X_t's faces are a suffix of every row.  One reduction per boundary
+    map takes the columns from the end of the row and reads the rank at
+    each cut; X_t is a subcomplex, so that rank is the rank of its own
+    D_k.  Entry j is the tuple (b_0, ..., b_dim) of X_(starts[j]), with
+    b_i = (i-faces) - rank D_i - rank D_(i+1).  This is persistent
+    homology in the filtration order (Zomorodian & Carlsson, DCG 2005).
+
+    Ranks are taken from the top down with clearing (Chen & Kerber,
+    EuroCG 2011): column i of D_k is skipped when i is a pivot of
+    D_(k+1)'s echelon basis.  That pivot is the smallest index of a
+    boundary z = c e_i + sum_{l>i} c_l e_l with c != 0, and D_k z = 0, so
+    D_k e_i lies in the span of the columns l > i, which lie in every X_t
+    that holds face i; by descending induction over the skipped i, each
+    lies in the span of the kept columns of X_t, so skipping leaves every
+    rank unchanged.
+    """
+    maps = boundary_columns(x)
+    sizes = [[0] * len(starts) for _ in maps]
+    ranks = [[0] * len(starts) for _ in range(len(maps) + 1)]
+    cleared = set()
+    for k in reversed(range(len(maps))):
+        row, cols = x.faces[k], maps[k]
+        basis = EchelonBasis(field)
+        i = len(row)
+        for j, t in enumerate(starts):
+            while i and row[i - 1][0] >= t:
+                i -= 1
+                if i not in cleared:
+                    basis.insert(cols[i])
+            sizes[k][j] = len(row) - i
+            ranks[k][j] = basis.rank
+        cleared = basis.pivots.keys()
+    return [tuple(sizes[k][j] - ranks[k][j] - ranks[k + 1][j] for k in range(len(maps))) for j in range(len(starts))]
+
+
 def betti(x: SimplicialComplex, field: FieldSpec) -> tuple:
     """Reduced Betti numbers (b_0, ..., b_dim), b_i = nullity(D_i) - rank(D_{i+1}).
 
     A plain tuple of length dim + 1, so () for the empty complex; slice
-    it to read degrees that may lie past the top.
-
-    Ranks are taken from the top down with clearing: column i of D_k is
-    skipped when i is a pivot of D_{k+1}'s echelon basis.  That pivot is
-    the smallest index of a boundary z = c e_i + sum_{l>i} c_l e_l with
-    c != 0, and D_k z = 0, so D_k e_i lies in the span of the columns
-    l > i; by descending induction over the skipped i, each lies in the
-    span of the kept columns, so skipping leaves the rank unchanged.
+    it to read degrees that may lie past the top.  The ranks are those of
+    `_filtered_betti` with one stage, the whole complex.
     """
     if x.is_empty():
         return ()
-    maps = boundary_columns(x)
-    ranks = [0] * (len(maps) + 1)
-    cleared = set()
-    for k in reversed(range(len(maps))):
-        basis = EchelonBasis(field)
-        for i, col in enumerate(maps[k]):
-            if i not in cleared:
-                basis.insert(col)
-        ranks[k] = basis.rank
-        cleared = basis.pivots.keys()
-    return tuple(len(maps[i]) - ranks[i] - ranks[i + 1] for i in range(len(maps)))
+    return _filtered_betti(x, field, (x.faces[0][0][0],))[0]
 
 
 def euler_characteristic(x: SimplicialComplex) -> int:
@@ -128,9 +156,13 @@ def order_complex(g: LayeredGraph, exclude=frozenset()) -> SimplicialComplex:
 
 
 def link(x: SimplicialComplex, simplex) -> SimplicialComplex:
-    """Link of a face: all faces disjoint from it whose union with it is a face."""
+    """Link of a face: all faces disjoint from it whose union with it is a face.
+
+    Only the facets that hold the face's vertex of fewest facets are scanned.
+    """
     s = frozenset(simplex)
-    facets = [set(f) - s for f in x.facets if s.issubset(f)]
+    holders = min((x.star.get(v, ()) for v in s), key=len) if s else x.facets
+    facets = [set(f) - s for f in holders if s.issubset(f)]
     if not facets:
         raise FaceNotInComplex(f"{sorted(s)} is not a face")
     return SimplicialComplex([f for f in facets if f])
@@ -178,20 +210,26 @@ def predict_koszulity(x: SimplicialComplex, field: FieldSpec) -> KoszulityPredic
     verdict is the conjunction of reduced-homology vanishing below the
     top dimension and local-homology vanishing.
     """
+    return _koszulity(x, field, betti(x, field), is_pure(x), _codim1_reached(x))
+
+
+def _koszulity(
+    x: SimplicialComplex, field: FieldSpec, reduced: tuple, pure: bool, reached: set
+) -> KoszulityPrediction:
+    """predict_koszulity given betti(x, field), is_pure(x) and _codim1_reached(x), which `topology` also reports."""
     if x.is_empty():
         raise ValueError("complex must have at least one facet")
     n = x.dim
-    if not is_pure(x):
+    if not pure:
         short = next(f for f in x.facets if len(f) != n + 1)
         raise HypothesisViolation(f"complex is not pure: facet {list(short)} has dimension {len(short) - 1} < {n}")
-    reached = _codim1_reached(x)
     if len(reached) < len(x.facets):
         stranded = next(i for i in range(len(x.facets)) if i not in reached)
         raise HypothesisViolation(
             "complex is not connected through codimension-one faces: no such path "
             f"between facets {list(x.facets[0])} and {list(x.facets[stranded])}"
         )
-    low = not any(betti(x, field)[:n])
+    low = not any(reduced[:n])
     local = local_homology_vanishes(x, field)
     return KoszulityPrediction(low and local, low, local, n, field)
 
@@ -210,13 +248,21 @@ def _down_paths(g: LayeredGraph, rank: dict, v: str, k: int) -> list:
     return [path for path, _ in paths]
 
 
-def _vertex_contribution(g, rank, v, k, field) -> int:
-    if k < 2:
-        return 0
-    # for k >= 2 the down-set holds v's children, so reduced degree -1 is 0;
-    # the top degree k-2 never enters
-    bv = betti(SimplicialComplex(_down_paths(g, rank, v, k)), field)
-    return sum((1 if (k - 1 + i) % 2 == 0 else -1) * b for i, b in enumerate(bv[: k - 2]))
+def _vertex_entries(g: LayeredGraph, rank: dict, first: dict, v: str, lv: int, field: FieldSpec) -> list:
+    """v's signed sums for k = 3..lv, from one filtered complex X = Delta(v, lv).
+
+    Delta(v, k) is the full subcomplex of X on the vertices of level
+    >= lv - k + 1, whose labels are the ranks >= first[lv - k + 1], so the
+    Delta(v, k) are the stages of one filtration of X.  Each holds v's
+    children, so reduced degree -1 is 0, and the top degree k-2 never
+    enters.
+    """
+    x = SimplicialComplex(_down_paths(g, rank, v, lv))
+    stages = _filtered_betti(x, field, [first[lv - k + 1] for k in range(3, lv + 1)])
+    return [
+        sum((1 if (k - 1 + i) % 2 == 0 else -1) * b for i, b in enumerate(bv[: k - 2]))
+        for k, bv in enumerate(stages, 3)
+    ]
 
 
 def discrepancy_rhs_table(g: LayeredGraph, field: FieldSpec) -> list:
@@ -230,13 +276,22 @@ def discrepancy_rhs_table(g: LayeredGraph, field: FieldSpec) -> list:
     Delta(v, k) is the order complex of the k-1 levels strictly below v,
     whose facets are the downward paths of k-1 vertices starting at a
     child of v.  docs/discrepancy_calibration.md derives the rule from
-    both sides.  The number of downward paths, which bounds the facets of
-    every Delta(v, k), is capped before any is built.
+    both sides.  The sum is empty for k <= 2, so only vertices of level
+    >= 3 contribute, and each builds one complex, Delta(v, level v): the
+    Delta(v, k) of one v are the stages of its filtration by depth, and
+    one reduction of its boundary maps gives every stage's Betti numbers.
+    The number of downward paths, which bounds the facets of every
+    complex, is capped before any is built.
     """
     require_valid(g)
     require_path_cap(g)
-    rank = {v: i for i, (v, _) in enumerate(g.vertices)}
-    return [
-        sum(_vertex_contribution(g, rank, v, k, field) for v, lv in g.vertices if lv >= k)
-        for k in range(g.height + 1)
-    ]
+    rank, first = {}, {}
+    for i, (v, lv) in enumerate(g.vertices):
+        rank[v] = i
+        first.setdefault(lv, i)
+    table = [0] * (g.height + 1)
+    for v, lv in g.vertices:
+        if lv >= 3:
+            for k, entry in enumerate(_vertex_entries(g, rank, first, v, lv, field), 3):
+                table[k] += entry
+    return table

@@ -1,9 +1,12 @@
-"""The three per-vertex discrepancy rules the calibration rejects, as test references.
+"""The three per-vertex discrepancy rules the calibration rejects, and the shipped
+rule ranked one (v, k) at a time, as test references.
 
 `topo.discrepancy_rhs_table` ships the one rule docs/discrepancy_calibration.md
 derives; `calibrate` runs it and the three plain sums below on the 26 cases
 and keeps those matching the algebra side on every one.  The cone rules are
-eliminated on the cone, not taken as closed forms.
+eliminated on the cone, not taken as closed forms.  `per_pair_table` builds
+and ranks every Delta(v, k) from its own facets, where the shipped table reads
+them all off one filtered complex per vertex.
 """
 
 from splitkit.dualalg import discrepancy_lhs_table
@@ -32,6 +35,18 @@ def plain_sum_table(g, field, cone, reduced=True) -> list:
                 if b and not reduced:
                     table[k] += 1  # unreduced b_0 = reduced b_0 + 1 on a nonempty complex
                 table[k] += sum(b[: max(lv, 1)])  # the minimum's cone at k = 0 still has b_0
+    return table
+
+
+def per_pair_table(g, field) -> list:
+    """The shipped rule with each Delta(v, k), k >= 2, built from its downward paths and ranked alone."""
+    rank = {v: i for i, (v, _) in enumerate(g.vertices)}
+    table = [0] * (g.height + 1)
+    for k in range(2, g.height + 1):
+        for v, lv in g.vertices:
+            if lv >= k:
+                bv = betti(SimplicialComplex(_down_paths(g, rank, v, k)), field)
+                table[k] += sum((1 if (k - 1 + i) % 2 == 0 else -1) * b for i, b in enumerate(bv[: k - 2]))
     return table
 
 

@@ -499,6 +499,81 @@ def test_documented_commands_parse():
             parser.parse_args(shlex.split(line)[1:])
 
 
+# per subcommand: a valid argv after the name, and one that lacks a required option
+_PARSE_CASES = {
+    "graph": (["--boolean", "2"], ["--out", "g.json"]),
+    "mobius": (["--boolean", "2"], []),
+    "hilbert": (["--boolean", "2", "-D", "3"], ["-D", "3"]),
+    "dual": (["--boolean", "2", "--field", "q"], ["--boolean", "2"]),
+    "koszul-check": (["--boolean", "2", "--field", "q"], ["--field", "q"]),
+    "discrepancy": (["--graph", "g.json", "--field", "gf2"], ["--graph", "g.json"]),
+    "topology": (["--complex", "x.json", "--field", "q"], ["--field", "q"]),
+    "factor": (["roots.json"], ["--pretty"]),
+}
+_PARSER_ARGVS = [[], ["bogus"], ["-h"], ["--version"]] + [
+    argv
+    for name, (valid, missing) in _PARSE_CASES.items()
+    for argv in ([name, "-h"], [name, *missing], [name, *valid, "--bogus"])
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", _PARSER_ARGVS, ids=" ".join)
+def test_one_subcommand_parser_reads_as_the_full_parser(capsys, monkeypatch, argv):
+    # main builds only the subparser argv[0] names; its help, usage errors
+    # and exit codes must match those of the parser with every subcommand
+    import splitkit.cli as cli
+
+    asked = []
+    one = _outcome(capsys, argv)
+    monkeypatch.setattr(cli, "build_parser", lambda only=None: asked.append(only) or build_parser())
+    assert _outcome(capsys, argv) == one
+    assert asked == [argv[0] if argv and argv[0] in _PARSE_CASES else None]
+    assert one[0] in (0, 2)
+
+
+def test_one_subcommand_parser_holds_one_subcommand(capsys):
+    one = build_parser("topology")
+    assert one.format_usage() == build_parser().format_usage()
+    assert one.parse_args(["topology", "--complex", "x.json", "--field", "q"]).cmd == "topology"
+    with pytest.raises(SystemExit):
+        one.parse_args(["graph", "--boolean", "2"])
+    assert "invalid choice: 'graph'" in capsys.readouterr().err
+
+
+def test_topology_ranks_the_complex_once(capsys, monkeypatch):
+    # the report and the Koszulity prediction share one Betti vector, and
+    # the links of its faces are ranked apart from it
+    import splitkit.topo as topo
+
+    ranked = []
+    boundary_columns = topo.boundary_columns
+    monkeypatch.setattr(topo, "boundary_columns", lambda x: ranked.append(x) or boundary_columns(x))
+    code, out, _ = run(capsys, "topology", "--complex", _RP2, "--field", "q")
+    assert code == 0 and json.loads(out)["betti_reduced"] == [0, 0, 0]
+    x = SimplicialComplex.from_json_dict(json.loads(Path(_RP2).read_text(encoding="utf-8")))
+    assert ranked.count(x) == 1 and len(ranked) > 1
+
+
+def test_hilbert_builds_the_mobius_polynomial_once(capsys, monkeypatch):
+    import splitkit.mobius as mobius
+
+    built = []
+    graded_mobius = mobius.graded_mobius
+    monkeypatch.setattr(mobius, "graded_mobius", lambda g: built.append(g) or graded_mobius(g))
+    code, out, _ = run(capsys, "hilbert", "--boolean", "4")
+    assert code == 0 and json.loads(out)["inverse_degree"] == 4
+    assert len(built) == 1
+
+
 def test_pretty_flag_changes_layout_not_content(capsys):
     _, compact, _ = run(capsys, "mobius", "--boolean", "2")
     _, pretty, _ = run(capsys, "mobius", "--boolean", "2", "--pretty")

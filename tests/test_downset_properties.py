@@ -2,29 +2,33 @@
 algebra's graded dimensions, on random layered graphs and on the face
 posets of random complexes.
 
-The discrepancy's topological side builds each Delta(v, k) from the
-graph's edges as downward paths.  The oracles here take the other
-routes: `order_complex` recovers covers from the descendant sets and
-takes maximal chains, the algebra side of the discrepancy comes from
-per-vertex quotients and the Möbius polynomial, and the chain-counting
-Möbius value runs opposite to the recursion, and the cone rules of
-`discrepancy_rules`, eliminated as the cones they stand for, reduce to
-closed forms.  The per-vertex quotients, built from the children's and
-listing no path, are checked against the ranks on path words of the
-test-only `path_words` module, and against the full tensor quotient of
-the presentation.  The facet tests check the maximality filter of
-`SimplicialComplex` against the plain quadratic rule.  A seeded search
-over sets of tetrahedra on seven vertices reaches uniform graphs whose
-discrepancy has a negative entry.
+The discrepancy's topological side builds one complex per vertex v,
+Delta(v, level v), from the graph's edges as downward paths, and reads
+every Delta(v, k) as a stage of its filtration by depth.  The oracles
+here take the other routes: `order_complex` recovers covers from the
+descendant sets and takes maximal chains, `per_pair_table` builds and
+ranks each Delta(v, k) alone, the algebra side of the discrepancy comes
+from per-vertex quotients and the Möbius polynomial, and the
+chain-counting Möbius value runs opposite to the recursion, and the
+cone rules of `discrepancy_rules`, eliminated as the cones they stand
+for, reduce to closed forms.  The per-vertex quotients, built from the
+children's and listing no path, are checked against the ranks on path
+words of the test-only `path_words` module, and against the full tensor
+quotient of the presentation.  The facet tests check the maximality
+filter of `SimplicialComplex` against the plain quadratic rule.  A
+seeded search over sets of tetrahedra on seven vertices reaches uniform
+graphs whose discrepancy has a negative entry.
 """
 
 import itertools
+import json
 import random
+from pathlib import Path
 
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from discrepancy_rules import RULES, plain_sum_table
+from discrepancy_rules import RULES, per_pair_table, plain_sum_table
 from path_words import path_word_hilbert
 from splitkit.dualalg import (
     discrepancy_lhs_table,
@@ -37,11 +41,13 @@ from splitkit.exactlinalg import GF2, GF3, RATIONALS, FieldSpec
 from splitkit.laygraph import (
     LayeredGraph,
     SimplicialComplex,
+    boolean_graph,
     complex_graph,
     hat,
     is_codim1_connected,
     is_pure,
     is_uniform,
+    subspace_graph,
 )
 from splitkit.mobius import graded_mobius, mobius_value, mobius_value_chain
 from splitkit.seriespoly import IntPolynomial
@@ -54,6 +60,7 @@ from splitkit.topo import (
 )
 
 FIELDS = (RATIONALS, GF2, GF3)
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 GF5 = FieldSpec(5)
 SETTINGS = settings(max_examples=40, deadline=None, database=None)
 
@@ -115,6 +122,39 @@ def test_discrepancy_sides_agree_and_cone_conventions_are_closed_forms(g):
     for field in (RATIONALS, GF2):
         assert plain_sum_table(g, field, cone=True) == [0] * (g.height + 1), field
         assert plain_sum_table(g, field, cone=True, reduced=False) == at_least, field
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@seed(20090939)
+@given(layered_graphs(heights=(3, 6)))
+def test_filtered_table_equals_the_per_pair_oracle(g):
+    # the oracle builds and ranks each Delta(v, k) alone; the shipped table
+    # reads every k of one v off the prefix ranks of Delta(v, level v)
+    for field in FIELDS:
+        assert discrepancy_rhs_table(g, field) == per_pair_table(g, field), field
+
+
+def test_filtered_table_equals_the_per_pair_oracle_on_fixtures_lattices_and_tetrahedra():
+    rng = random.Random(20090940)
+    tetrahedra = list(itertools.combinations(range(7), 4))
+    graphs = [boolean_graph(6), subspace_graph(4, 2)]
+    graphs += [hat(complex_graph(SimplicialComplex(rng.sample(tetrahedra, rng.randint(3, 6))))) for _ in range(30)]
+    for path in sorted(FIXTURES.glob("*.json")):
+        data = json.loads(path.read_text(encoding="utf-8"))
+        if "facets" in data:
+            g = complex_graph(SimplicialComplex.from_json_dict(data))
+        elif "vertices" in data:
+            g = LayeredGraph.from_json_dict(data)
+        else:
+            continue  # matrix roots
+        graphs += [g, hat(g)]
+    nonzero = 0
+    for g in graphs:
+        for field in FIELDS:
+            table = discrepancy_rhs_table(g, field)
+            assert table == per_pair_table(g, field), field
+            nonzero += any(table)
+    assert nonzero >= 10  # the comparison reaches tables that are not all zero
 
 
 @SETTINGS
