@@ -53,7 +53,6 @@ from .mobius import (
     hilbert_series,
     hilbert_series_inverse,
     mobius_value,
-    mobius_value_chain,
     subset_lattice_series,
 )
 from .ncfactor import (
@@ -89,7 +88,6 @@ from .topo import (
     euler_characteristic,
     link,
     local_homology_vanishes,
-    order_complex,
     predict_koszulity,
 )
 

@@ -16,7 +16,6 @@ likewise the oracle for the relation count.
 """
 
 import itertools
-from dataclasses import dataclass
 
 from .caps import TENSOR_ENTRY_CAP, size_cap
 from .errors import SizeLimit
@@ -26,7 +25,6 @@ from .mobius import hilbert_series_inverse
 from .seriespoly import IntPolynomial, substitute_neg
 
 
-@dataclass(frozen=True)
 class QuadraticPresentation:
     """Generators plus a canonical (RREF) basis of the degree-2 relation space.
 
@@ -37,9 +35,28 @@ class QuadraticPresentation:
     coordinate, so presentations stay hashable and comparable.
     """
 
-    generators: tuple
-    relations: tuple
-    field: FieldSpec
+    __slots__ = ("generators", "relations", "field")
+
+    def __init__(self, generators: tuple, relations: tuple, field: FieldSpec):
+        self.generators = generators
+        self.relations = relations
+        self.field = field  # set last: the immutability guard keys on it
+
+    def __setattr__(self, name, value):
+        if hasattr(self, "field"):
+            raise AttributeError("QuadraticPresentation is immutable")
+        super().__setattr__(name, value)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, QuadraticPresentation)
+            and self.generators == other.generators
+            and self.relations == other.relations
+            and self.field == other.field
+        )
+
+    def __hash__(self):
+        return hash((self.generators, self.relations, self.field))
 
     @classmethod
     def make(cls, generators, relation_vectors, field: FieldSpec) -> "QuadraticPresentation":
@@ -220,15 +237,29 @@ def quadratic_dual(p: QuadraticPresentation) -> QuadraticPresentation:
     return QuadraticPresentation.make(tuple(f"{g}*" for g in p.generators), ann, p.field)
 
 
-@dataclass(frozen=True)
 class KoszulVerdict:
     """Comparison of the two Hilbert polynomials that agree iff numerically Koszul."""
 
-    passes: bool
-    first_divergence_degree: int | None
-    series_side: IntPolynomial  # inverse Hilbert polynomial at -tau
-    algebra_side: IntPolynomial  # Hilbert polynomial of the vertex algebra
-    field: FieldSpec
+    __slots__ = ("passes", "first_divergence_degree", "series_side", "algebra_side", "field")
+
+    def __init__(
+        self,
+        passes: bool,
+        first_divergence_degree: int | None,
+        series_side: IntPolynomial,
+        algebra_side: IntPolynomial,
+        field: FieldSpec,
+    ):
+        self.passes = passes
+        self.first_divergence_degree = first_divergence_degree
+        self.series_side = series_side  # inverse Hilbert polynomial at -tau
+        self.algebra_side = algebra_side  # Hilbert polynomial of the vertex algebra
+        self.field = field  # set last: the immutability guard keys on it
+
+    def __setattr__(self, name, value):
+        if hasattr(self, "field"):
+            raise AttributeError("KoszulVerdict is immutable")
+        super().__setattr__(name, value)
 
 
 def numerical_koszul_check(g: LayeredGraph, field: FieldSpec) -> KoszulVerdict:

@@ -13,7 +13,6 @@ out Fractions; `column_classes`, whose values feed further elimination,
 hands out an int wherever the pivot divides the entry.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -37,7 +36,6 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class FieldSpec:
     """Field of scalars: rationals when `p` is None, else GF(p).
 
@@ -46,14 +44,26 @@ class FieldSpec:
     elimination kernel does its own arithmetic (reduction mod p over GF(p)).
     """
 
-    p: int | None = None
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if self.p is not None:
-            if not _is_prime(self.p):
-                raise ValueError(f"modulus {self.p} is not prime")
-            if self.p >= _WORD_LIMIT:
-                raise ValueError(f"modulus {self.p} exceeds 2^31 word limit")
+    def __init__(self, p: int | None = None):
+        if p is not None:
+            if not _is_prime(p):
+                raise ValueError(f"modulus {p} is not prime")
+            if p >= _WORD_LIMIT:
+                raise ValueError(f"modulus {p} exceeds 2^31 word limit")
+        self.p = p
+
+    def __setattr__(self, name, value):
+        if hasattr(self, "p"):
+            raise AttributeError("FieldSpec is immutable")
+        super().__setattr__(name, value)
+
+    def __eq__(self, other):
+        return isinstance(other, FieldSpec) and self.p == other.p
+
+    def __hash__(self):
+        return hash((self.p,))
 
     @property
     def is_rational(self) -> bool:

@@ -11,7 +11,6 @@ fewer than B, and each M·B is again in RREF.
 
 import itertools
 import json
-from dataclasses import dataclass
 
 from .caps import PATH_CAP, VERTEX_CAP, size_cap
 from .errors import SizeLimit, ValidationError
@@ -158,9 +157,18 @@ class LayeredGraph:
         return f"LayeredGraph({len(self.vertices)} vertices, {len(self.edges)} edges, height {self.height})"
 
 
-@dataclass(frozen=True)
 class ValidationReport:
-    violations: tuple
+    """The layered-graph axioms and the unique minimum that a graph breaks, as messages."""
+
+    __slots__ = ("violations",)
+
+    def __init__(self, violations: tuple):
+        self.violations = violations
+
+    def __setattr__(self, name, value):
+        if hasattr(self, "violations"):
+            raise AttributeError("ValidationReport is immutable")
+        super().__setattr__(name, value)
 
     @property
     def ok(self) -> bool:

@@ -29,28 +29,6 @@ def mobius_value(g: LayeredGraph, v: str, w: str) -> int:
     return values[w]
 
 
-def mobius_value_chain(g: LayeredGraph, v: str, w: str) -> int:
-    """mu(v, w) by signed chain counting.
-
-    Accumulates sum over chains w = v0 < v1 < ... < vl = v of (-1)^l by
-    dynamic programming upward from w: the signed count f(u) of chains
-    from w to u satisfies f(w) = 1 and f(u) = -sum of f(z) over w <= z < u.
-    Runs in the opposite direction to the recursion behind mobius_value,
-    so the two act as cross-checks.
-    """
-    if v == w:
-        return 1
-    if not g.less_than(w, v):
-        return 0
-    desc = g.descendants()
-    interval = {u for u in desc[v] if u == w or w in desc[u]}  # [w, v)
-    signed = {w: 1}
-    for u in sorted(interval - {w}, key=lambda x: g.level(x)) + [v]:
-        below = desc[u]
-        signed[u] = -sum(s for z, s in signed.items() if z == w or z in below)
-    return signed[v]
-
-
 def graded_mobius(g: LayeredGraph) -> IntPolynomial:
     """Graded Möbius polynomial: sum of mu(v,w) * tau^(|v|-|w|) over pairs w <= v.
 

@@ -24,8 +24,6 @@ mismatched orderings, and stays as the oracle with `expand_factorization`.
 """
 
 import itertools
-from dataclasses import dataclass, field
-from functools import cached_property
 from math import lcm
 
 from .errors import GenericityFailure, SingularMatrix
@@ -34,15 +32,13 @@ from .exactlinalg import RATIONALS, DenseMatrix
 GENERIC_TRIES = 200  # random draws random_generic_roots makes before giving up
 
 
-@dataclass(frozen=True)
 class RootSystem:
     """n square rational matrices of a common size d, playing the roots."""
 
-    roots: tuple
+    __slots__ = ("roots", "_table")
 
-    def __post_init__(self):
-        roots = tuple(self.roots)
-        object.__setattr__(self, "roots", roots)
+    def __init__(self, roots: tuple):
+        roots = tuple(roots)
         if not roots:
             raise ValueError("need at least one root")
         d = roots[0].rows
@@ -51,6 +47,13 @@ class RootSystem:
                 raise ValueError("roots must be square matrices of a common size")
             if not m.field.is_rational:
                 raise ValueError("roots must be rational matrices")
+        self._table = None  # before roots, which the immutability guard keys on
+        self.roots = roots
+
+    def __setattr__(self, name, value):
+        if hasattr(self, "roots") and name != "_table":
+            raise AttributeError("RootSystem is immutable")
+        super().__setattr__(name, value)
 
     @property
     def n(self) -> int:
@@ -64,10 +67,12 @@ class RootSystem:
         """Root x_i, 1-indexed."""
         return self.roots[i - 1]
 
-    @cached_property
+    @property
     def table(self) -> "PseudoRootTable":
         """The one pseudo-root table of this system, filled on demand."""
-        return PseudoRootTable(self)
+        if self._table is None:
+            self._table = PseudoRootTable(self)
+        return self._table
 
     @classmethod
     def from_scalars(cls, values) -> "RootSystem":
@@ -167,12 +172,20 @@ class PseudoRootTable:
         return dict(self._cache)
 
 
-@dataclass(frozen=True)
 class GenericityReport:
     """Singular configurations found while probing a root system."""
 
-    singular_vandermondes: tuple  # index subsets with singular W
-    singular_transforms: tuple  # (A, i) pairs with singular w
+    __slots__ = ("singular_vandermondes", "singular_transforms")
+
+    def __init__(self, singular_vandermondes: tuple, singular_transforms: tuple):
+        self.singular_vandermondes = singular_vandermondes  # index subsets with singular W
+        # (A, i) pairs with singular w; set last: the immutability guard keys on it
+        self.singular_transforms = singular_transforms
+
+    def __setattr__(self, name, value):
+        if hasattr(self, "singular_transforms"):
+            raise AttributeError("GenericityReport is immutable")
+        super().__setattr__(name, value)
 
     @property
     def generic(self) -> bool:
@@ -219,11 +232,24 @@ def genericity_check(rs: RootSystem) -> GenericityReport:
     return GenericityReport(tuple(bad_w), tuple(bad_t))
 
 
-@dataclass(frozen=True)
 class MatrixPolynomial:
     """Monic matrix polynomial t^n + a_1 t^(n-1) + ... + a_n (a_k stored 1-indexed)."""
 
-    coefficients: tuple = field(default=())
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients: tuple = ()):
+        self.coefficients = coefficients
+
+    def __setattr__(self, name, value):
+        if hasattr(self, "coefficients"):
+            raise AttributeError("MatrixPolynomial is immutable")
+        super().__setattr__(name, value)
+
+    def __eq__(self, other):
+        return isinstance(other, MatrixPolynomial) and self.coefficients == other.coefficients
+
+    def __hash__(self):
+        return hash((self.coefficients,))
 
     @property
     def n(self) -> int:
@@ -278,14 +304,22 @@ def expand_factorization(rs: RootSystem, ordering) -> MatrixPolynomial:
     return MatrixPolynomial(tuple(coeffs[1:]))
 
 
-@dataclass(frozen=True)
 class OrderingCheck:
     """Outcome of comparing the factorizations over all n! orderings."""
 
-    passed: bool
-    polynomial: MatrixPolynomial | None
-    orderings: tuple
-    mismatched: tuple  # orderings whose coefficients differ from the first
+    __slots__ = ("passed", "polynomial", "orderings", "mismatched")
+
+    def __init__(self, passed: bool, polynomial: MatrixPolynomial | None, orderings: tuple, mismatched: tuple):
+        self.passed = passed
+        self.polynomial = polynomial
+        self.orderings = orderings
+        # orderings whose coefficients differ from the first; set last: the immutability guard keys on it
+        self.mismatched = mismatched
+
+    def __setattr__(self, name, value):
+        if hasattr(self, "mismatched"):
+            raise AttributeError("OrderingCheck is immutable")
+        super().__setattr__(name, value)
 
 
 def check_all_orderings(rs: RootSystem) -> OrderingCheck:
@@ -331,16 +365,32 @@ def vandermonde_polynomial(rs: RootSystem) -> MatrixPolynomial:
     return MatrixPolynomial(tuple(DenseMatrix._make(b, row.den, RATIONALS, (d, d)) for b in blocks))
 
 
-@dataclass(frozen=True)
 class DiamondCheck:
     """Outcome of the exchange identities on every diamond, against the Vandermonde side."""
 
-    passed: bool
-    polynomial: MatrixPolynomial | None  # along the identity ordering, when passed
-    diamonds: int
-    failed: tuple  # (A, i, j) with A sorted, in enumeration order
-    vandermonde_agrees: bool
-    mismatched: tuple  # as in OrderingCheck; enumerated only when a diamond fails
+    __slots__ = ("passed", "polynomial", "diamonds", "failed", "vandermonde_agrees", "mismatched")
+
+    def __init__(
+        self,
+        passed: bool,
+        polynomial: MatrixPolynomial | None,
+        diamonds: int,
+        failed: tuple,
+        vandermonde_agrees: bool,
+        mismatched: tuple,
+    ):
+        self.passed = passed
+        self.polynomial = polynomial  # along the identity ordering, when passed
+        self.diamonds = diamonds
+        self.failed = failed  # (A, i, j) with A sorted, in enumeration order
+        self.vandermonde_agrees = vandermonde_agrees
+        # as in OrderingCheck, enumerated only when a diamond fails; set last: the immutability guard keys on it
+        self.mismatched = mismatched
+
+    def __setattr__(self, name, value):
+        if hasattr(self, "mismatched"):
+            raise AttributeError("DiamondCheck is immutable")
+        super().__setattr__(name, value)
 
 
 def check_diamonds(rs: RootSystem) -> DiamondCheck:

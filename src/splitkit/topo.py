@@ -1,5 +1,5 @@
-"""Simplicial homology over a field, order complexes, local homology, and
-the topological side of the discrepancy.
+"""Simplicial homology over a field, local homology, and the topological
+side of the discrepancy.
 
 Boundary maps are lists of sparse signed integer columns, built and
 checked over the integers; the field enters only when the exact
@@ -17,11 +17,8 @@ discrepancy's topological side is one rule, a signed sum of reduced
 Betti numbers of the down-set complexes Delta(v, k);
 docs/discrepancy_calibration.md derives it.  Each vertex v builds one
 complex, Delta(v, level v), from the graph's own edges as downward
-paths, and its Delta(v, k) are the stages of its filtration by depth;
-`order_complex` is the general construction.
+paths, and its Delta(v, k) are the stages of its filtration by depth.
 """
-
-from dataclasses import dataclass
 
 from .errors import FaceNotInComplex, HypothesisViolation
 from .exactlinalg import EchelonBasis, FieldSpec
@@ -118,43 +115,6 @@ def euler_characteristic(x: SimplicialComplex) -> int:
     return sum((-1) ** k * f for k, f in enumerate(x.f_vector()))
 
 
-def order_complex(g: LayeredGraph, exclude=frozenset()) -> SimplicialComplex:
-    """Order complex of the poset of a layered graph: simplices are chains.
-
-    Vertices of the complex are integer indices of the poset elements in
-    (level, id) order; facets are the maximal chains.  `exclude` drops
-    poset elements (e.g. an added minimum) before taking chains.
-    """
-    exclude = set(exclude)
-    elems = [v for v, _ in g.vertices if v not in exclude]
-    index = {v: i for i, v in enumerate(elems)}
-    if not elems:
-        return SimplicialComplex([])
-    desc = g.descendants()
-    below = {v: {w for w in desc[v] if w not in exclude} for v in elems}
-    covers = {}
-    for v in elems:
-        direct = set(below[v])
-        for w in below[v]:
-            direct -= below[w]
-        covers[v] = sorted(direct)
-    maximal = [v for v in elems if not any(v in below[u] for u in elems)]
-    chains = []
-
-    def walk(v, chain):
-        chain.append(v)
-        if covers[v]:
-            for w in covers[v]:
-                walk(w, chain)
-        else:
-            chains.append([index[u] for u in chain])
-        chain.pop()
-
-    for v in maximal:
-        walk(v, [])
-    return SimplicialComplex(chains)
-
-
 def link(x: SimplicialComplex, simplex) -> SimplicialComplex:
     """Link of a face: all faces disjoint from it whose union with it is a face.
 
@@ -192,15 +152,22 @@ def local_homology_vanishes(x: SimplicialComplex, field: FieldSpec) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class KoszulityPrediction:
     """Outcome of the homological Koszulity criteria for a pure complex."""
 
-    passes: bool
-    low_homology_vanishes: bool  # reduced H_i(X) = 0 for i < n
-    local_homology_ok: bool
-    n: int
-    field: FieldSpec
+    __slots__ = ("passes", "low_homology_vanishes", "local_homology_ok", "n", "field")
+
+    def __init__(self, passes: bool, low_homology_vanishes: bool, local_homology_ok: bool, n: int, field: FieldSpec):
+        self.passes = passes
+        self.low_homology_vanishes = low_homology_vanishes  # reduced H_i(X) = 0 for i < n
+        self.local_homology_ok = local_homology_ok
+        self.n = n
+        self.field = field  # set last: the immutability guard keys on it
+
+    def __setattr__(self, name, value):
+        if hasattr(self, "field"):
+            raise AttributeError("KoszulityPrediction is immutable")
+        super().__setattr__(name, value)
 
 
 def predict_koszulity(x: SimplicialComplex, field: FieldSpec) -> KoszulityPrediction:

@@ -10,6 +10,7 @@ import itertools
 import pathlib
 import random
 
+from chains import mobius_value_chain
 from discrepancy_rules import calibrate, calibration_cases
 from splitkit.dualalg import discrepancy_lhs_table, vertex_hilbert, numerical_koszul_check
 from splitkit.exactlinalg import GF2, RATIONALS, DenseMatrix, char_poly
@@ -26,7 +27,6 @@ from splitkit.mobius import (
     hilbert_series,
     hilbert_series_inverse,
     mobius_value,
-    mobius_value_chain,
     subset_lattice_series,
 )
 from splitkit.ncfactor import (

@@ -656,6 +656,31 @@ def test_cli_import_loads_no_test_only_modules():
     assert "splitkit.cli" in loaded and "splitkit.calibration" not in loaded and "splitkit.fixtures" not in loaded
 
 
+def test_cli_start_up_loads_no_dataclasses_inspect_or_typing():
+    # every CLI request pays for what a fresh interpreter imports; `site`
+    # may have loaded some of these already, so only what the import and
+    # one request add to sys.modules counts
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import splitkit.cli\n"
+        "imported = set(sys.modules) - before\n"
+        "code = splitkit.cli.main(['discrepancy', '--boolean', '3', '--field', 'q'])\n"
+        "ran = set(sys.modules) - before - imported\n"
+        "print(code, file=sys.stderr)\n"
+        "print(*sorted(imported), file=sys.stderr)\n"
+        "print(*sorted(ran), file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    code, imported, ran = (set(line.split()) for line in proc.stderr.splitlines())
+    assert code == {"0"} and json.loads(proc.stdout)["sides_agree"] and "splitkit.cli" in imported
+    heavy = {"dataclasses", "inspect", "typing"}
+    assert not heavy & imported, sorted(imported)
+    assert not heavy & ran, sorted(ran)
+
+
 def test_reports_identical_across_processes_and_hash_seeds(tmp_path):
     outs = []
     for seed in ("0", "42"):

@@ -28,6 +28,7 @@ from pathlib import Path
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from chains import mobius_value_chain, order_complex
 from discrepancy_rules import RULES, per_pair_table, plain_sum_table
 from path_words import path_word_hilbert
 from splitkit.dualalg import (
@@ -49,14 +50,13 @@ from splitkit.laygraph import (
     is_uniform,
     subspace_graph,
 )
-from splitkit.mobius import graded_mobius, mobius_value, mobius_value_chain
+from splitkit.mobius import graded_mobius, mobius_value
 from splitkit.seriespoly import IntPolynomial
 from splitkit.topo import (
     _down_paths,
     betti,
     discrepancy_rhs_table,
     euler_characteristic,
-    order_complex,
 )
 
 FIELDS = (RATIONALS, GF2, GF3)

@@ -137,6 +137,21 @@ def test_quadratic_dual_of_square_zero_is_polynomial_ring():
     assert graded_dims(dual, 4) == [1, 1, 1, 1, 1]
 
 
+def test_presentations_are_hashable_values_and_verdicts_refuse_assignment():
+    g = boolean_graph(2)
+    pres = vertex_algebra_presentation(g, GF2)
+    same = QuadraticPresentation(pres.generators, pres.relations, GF2)
+    assert pres is not same and pres == same and hash(pres) == hash(same)
+    assert pres != vertex_algebra_presentation(g, RATIONALS) and pres != quadratic_dual(pres)
+    assert len({pres, same, quadratic_dual(pres)}) == 2
+    for obj in (pres, numerical_koszul_check(g, GF2)):
+        for name in type(obj).__slots__:
+            before = getattr(obj, name)
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+            assert getattr(obj, name) is before, (type(obj).__name__, name)
+
+
 def test_double_dual_restores_relation_space():
     pres = vertex_algebra_presentation(boolean_graph(2), GF2)
     assert quadratic_dual(quadratic_dual(pres)).relations == pres.relations
@@ -244,7 +259,8 @@ def test_vertex_dims_equal_top_down_set_homology():
     # Betti number b~_(k-2) of the order complex of the k-1 levels
     # strictly below v; vertex_hilbert sums these blocks
     from splitkit.fixtures import full_graph_corpus
-    from splitkit.topo import betti, order_complex
+    from chains import order_complex
+    from splitkit.topo import betti
 
     for name, g in full_graph_corpus():
         desc = g.descendants()

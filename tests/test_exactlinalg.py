@@ -27,10 +27,21 @@ def random_int_matrix(rng, rows, cols, bound=6):
 
 
 def test_field_spec_rejects_composite_modulus():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^modulus 6 is not prime$"):
         FieldSpec(6)
     with pytest.raises(ValueError):
         FieldSpec(2**31 + 11)
+
+
+def test_field_spec_is_an_immutable_hashable_value():
+    assert FieldSpec() == FieldSpec(p=None) == RATIONALS and RATIONALS.p is None
+    assert FieldSpec(2) == GF2 and hash(FieldSpec(2)) == hash(GF2)
+    assert GF2 != RATIONALS and GF2 != FieldSpec(3) and GF2 != 2
+    assert len({FieldSpec(), RATIONALS, FieldSpec(2), GF2, FieldSpec(3)}) == 3
+    assert (str(RATIONALS), str(FieldSpec(7))) == ("Q", "GF(7)")
+    with pytest.raises(AttributeError):
+        GF2.p = 3
+    assert GF2.p == 2
 
 
 def test_parse_field():

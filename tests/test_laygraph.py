@@ -57,6 +57,9 @@ def test_validate_reports_level_gap():
     g = LayeredGraph([("a", 2), ("b", 0)], [("a", "b")])
     rep = validate(g)
     assert not rep.ok and any("level gap" in v for v in rep.violations)
+    with pytest.raises(AttributeError):
+        rep.violations = ()
+    assert not rep.ok
 
 
 def test_validate_reports_non_unique_minimum():

@@ -1,5 +1,6 @@
 import pytest
 
+from chains import mobius_value_chain
 from splitkit.errors import SizeLimit
 from splitkit.fixtures import boundary_delta3, delta2, full_graph_corpus, rp2_six, single_edge_graph
 from splitkit.laygraph import boolean_graph, complex_graph, hat
@@ -8,7 +9,6 @@ from splitkit.mobius import (
     hilbert_series,
     hilbert_series_inverse,
     mobius_value,
-    mobius_value_chain,
     subset_lattice_series,
 )
 from splitkit.seriespoly import IntPolynomial, poly_divide, series_inverse, series_mul

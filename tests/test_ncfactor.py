@@ -8,6 +8,7 @@ import pytest
 from splitkit.errors import GenericityFailure
 from splitkit.exactlinalg import RATIONALS, DenseMatrix, char_poly
 from splitkit.ncfactor import (
+    MatrixPolynomial,
     RootSystem,
     block_vandermonde,
     check_all_orderings,
@@ -87,6 +88,39 @@ def test_pseudo_root_conjugation_2x2():
     w = quasideterminant(rs, {1}, 2)
     assert x * w == w * rs.root(2)  # x w = w x_2, i.e. x = w x_2 w^-1
     assert char_poly(x) == char_poly(rs.root(2))
+
+
+def test_root_system_needs_a_root_and_builds_one_table():
+    with pytest.raises(ValueError, match="^need at least one root$"):
+        RootSystem(())
+    rs = scalars(1, 2, 3)
+    assert rs.table is rs.table
+    rs.table.pair({1}, 2)
+    assert rs.table.entries()  # the one table keeps what it filled
+
+
+def test_matrix_polynomials_are_hashable_values():
+    assert MatrixPolynomial() == MatrixPolynomial(coefficients=()) and MatrixPolynomial().n == 0
+    rs = scalars(1, 2, 3)
+    poly = viete_coefficients(rs, (1, 2, 3))
+    same = expand_factorization(rs, (3, 1, 2))
+    assert poly is not same and poly == same and hash(poly) == hash(same)
+    assert poly != MatrixPolynomial(poly.coefficients[:2]) and poly != poly.coefficients
+    assert len({poly, same, MatrixPolynomial()}) == 2
+
+
+def test_root_systems_and_their_reports_refuse_assignment():
+    rs = scalars(1, 2, 3)
+    values = (rs, viete_coefficients(rs, (1, 2, 3)), genericity_check(rs), check_all_orderings(rs), check_diamonds(rs))
+    for obj in values:
+        names = [n for n in type(obj).__slots__ if not n.startswith("_")]
+        if obj is rs:
+            names.append("table")
+        for name in names:
+            before = getattr(obj, name)
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+            assert getattr(obj, name) is before, (type(obj).__name__, name)
 
 
 def test_genericity_check_flags_equal_roots():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from chains import order_complex
 from splitkit.cli import main
 from splitkit.errors import FaceNotInComplex, HypothesisViolation
 from splitkit.exactlinalg import GF2, GF3, RATIONALS, DenseMatrix
@@ -23,7 +24,6 @@ from splitkit.topo import (
     euler_characteristic,
     link,
     local_homology_vanishes,
-    order_complex,
     predict_koszulity,
 )
 
@@ -192,6 +192,11 @@ def test_koszulity_prediction_verdicts():
         assert predict_koszulity(delta2(), field).passes
     over2 = predict_koszulity(rp2_six(), GF2)
     assert not over2.passes and not over2.low_homology_vanishes and over2.local_homology_ok
+    for name in type(over2).__slots__:
+        before = getattr(over2, name)
+        with pytest.raises(AttributeError):
+            setattr(over2, name, None)
+        assert getattr(over2, name) is before, name
     assert predict_koszulity(rp2_six(), RATIONALS).passes
     assert predict_koszulity(rp2_six(), GF3).passes
 
