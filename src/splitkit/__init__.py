@@ -68,7 +68,6 @@ from .ncfactor import (
     check_diamonds,
     expand_factorization,
     genericity_check,
-    quasideterminant,
     random_generic_roots,
     vandermonde_polynomial,
     viete_coefficients,

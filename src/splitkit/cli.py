@@ -27,7 +27,7 @@ from .errors import (
     SplitkitError,
     ValidationError,
 )
-from .exactlinalg import RATIONALS, DenseMatrix, parse_field
+from .exactlinalg import DenseMatrix, parse_field
 from .laygraph import (
     LayeredGraph,
     SimplicialComplex,
@@ -256,7 +256,7 @@ def _parse_roots(data) -> RootSystem:
         if not isinstance(m, list) or len(m) != d or any(not isinstance(r, list) or len(r) != d for r in m):
             raise ValidationError(f"root matrices must be {d}x{d}")
         try:
-            matrices.append(DenseMatrix([[_root_entry(v) for v in row] for row in m], RATIONALS))
+            matrices.append(DenseMatrix([[_root_entry(v) for v in row] for row in m]))
         except ZeroDivisionError as exc:
             raise ValidationError("root entry has a zero denominator") from exc
     return RootSystem(tuple(matrices))

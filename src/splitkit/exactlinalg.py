@@ -1,16 +1,18 @@
-"""Exact scalar fields (rationals, GF(p)) and dense matrix algebra.
+"""Exact scalar fields (rationals, GF(p)), the one elimination kernel, and rational matrices.
 
 Everything here is exact, and no floating point appears anywhere.  A
 rational scalar is a `fractions.Fraction` and a prime-field element an int
-in [0, p).  A `DenseMatrix` is one integer matrix over a common positive
-denominator, kept in lowest terms, so its arithmetic makes no Fraction.
-`EchelonBasis` is the one elimination kernel: dense ranks, solves and
-inverses are read off an echelon basis of integer matrix rows, and every
-null space, dense or sparse, comes from `annihilator_basis`.  Over Q the
-kernel eliminates fraction-free: it keeps each row a primitive integer
-vector and divides by pivots only on the way out.  `reduced_rows` hands
-out Fractions; `column_classes`, whose values feed further elimination,
-hands out an int wherever the pivot divides the entry.
+in [0, p).  `EchelonBasis` is the one elimination kernel, over Q or GF(p),
+on sparse rows: every rank, dense or sparse, is read off one, and
+every null space comes from `annihilator_basis`.  Over Q the kernel
+eliminates fraction-free: it keeps each row a primitive integer vector and
+divides by pivots only on the way out.  `reduced_rows` hands out
+Fractions; `column_classes`, whose values feed further elimination, hands
+out an int wherever the pivot divides the entry.  A `DenseMatrix` is a
+rational matrix, one integer matrix over a common positive denominator in
+lowest terms, so its arithmetic makes no Fraction; its ranks, solves and
+inverses run the kernel over Q.  GF(p) reaches the package only through
+the kernel's sparse rows.
 """
 
 from fractions import Fraction
@@ -64,10 +66,6 @@ class FieldSpec:
 
     def __hash__(self):
         return hash((self.p,))
-
-    @property
-    def is_rational(self) -> bool:
-        return self.p is None
 
     def of(self, value):
         """Coerce int, Fraction, or a "p/q" string into a field element."""
@@ -262,88 +260,74 @@ class EchelonBasis:
         return [{c: Fraction(v, final[col][col]) for c, v in final[col].items()} for col in cols]
 
 
-def _fill(m, rows: int, cols: int, num: tuple, den: int, field: FieldSpec):
+def _fill(m, rows: int, cols: int, num: tuple, den: int):
     """Set the slots of a new DenseMatrix, past its immutability guard."""
     setattr_ = object.__setattr__
     setattr_(m, "rows", rows)
     setattr_(m, "cols", cols)
     setattr_(m, "num", num)
     setattr_(m, "den", den)
-    setattr_(m, "field", field)
 
 
 class DenseMatrix:
-    """Immutable dense matrix over an exact field, held as one integer matrix.
+    """Immutable dense rational matrix, held as one integer matrix.
 
     The matrix is `num` / `den`: `num` is a tuple of int tuples and `den`
-    a positive int.  Over Q the pair is kept in lowest terms, gcd(den,
-    every entry) = 1, so equal matrices have equal (den, num); built from
-    values, `den` is the lcm of their reduced denominators.  Over GF(p)
-    the entries are residues in [0, p) and `den` is 1, so both fields
-    share one code path.  Arithmetic works on the integers: a product
-    takes integer dot products over den . den', a sum brings both sides to
-    the lcm of their denominators, and one gcd brings each result back to
-    lowest terms.  Field elements (Fractions over Q) appear only in
-    `entries`, `__getitem__` and `trace`.
+    a positive int, kept in lowest terms, gcd(den, every entry) = 1, so
+    equal matrices have equal (den, num); built from values, `den` is the
+    lcm of their reduced denominators.  Arithmetic works on the integers:
+    a product takes integer dot products over den . den', a sum brings
+    both sides to the lcm of their denominators, and one gcd brings each
+    result back to lowest terms.  Fractions appear only in `entries`,
+    `__getitem__` and `trace`.
     """
 
-    __slots__ = ("rows", "cols", "num", "den", "field")
+    __slots__ = ("rows", "cols", "num", "den")
 
-    def __init__(self, entries, field: FieldSpec, shape=None):
+    def __init__(self, entries):
         entries = [list(r) for r in entries]
-        if shape is not None:
-            rows, cols = shape
-        else:
-            rows = len(entries)
-            cols = len(entries[0]) if entries else 0
+        rows = len(entries)
+        cols = len(entries[0]) if entries else 0
         if any(len(r) != cols for r in entries):
             raise ValueError("ragged rows")
-        values = [[field.of(v) for v in r] for r in entries]
-        if field.p is None:  # the lcm of reduced denominators leaves the pair in lowest terms
-            den = lcm(*(v.denominator for r in values for v in r))
-            num = tuple(tuple(v.numerator * (den // v.denominator) for v in r) for r in values)
-        else:
-            den, num = 1, tuple(map(tuple, values))
-        _fill(self, rows, cols, num, den, field)
+        values = [[RATIONALS.of(v) for v in r] for r in entries]
+        # the lcm of reduced denominators leaves the pair in lowest terms
+        den = lcm(*(v.denominator for r in values for v in r))
+        num = tuple(tuple(v.numerator * (den // v.denominator) for v in r) for r in values)
+        _fill(self, rows, cols, num, den)
 
     @classmethod
-    def _make(cls, num, den: int, field: FieldSpec, shape) -> "DenseMatrix":
-        """The matrix num / den (den > 0), in lowest terms over Q and reduced into [0, p) over GF(p)."""
-        p = field.p
-        if p is not None:
-            num = tuple(tuple(v % p for v in r) for r in num)
-        elif den != 1:
+    def _make(cls, num, den: int, shape) -> "DenseMatrix":
+        """The matrix num / den (den > 0), in lowest terms."""
+        if den != 1:
             g = gcd(den, *chain.from_iterable(num))
             if g != 1:
                 num = tuple(tuple(v // g for v in r) for r in num)
                 den //= g
         m = object.__new__(cls)
-        _fill(m, *shape, num, den, field)
+        _fill(m, *shape, num, den)
         return m
 
     def __setattr__(self, name, value):
         raise AttributeError("DenseMatrix is immutable")
 
     @classmethod
-    def identity(cls, n: int, field: FieldSpec) -> "DenseMatrix":
-        return cls._make(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1, field, (n, n))
+    def identity(cls, n: int) -> "DenseMatrix":
+        return cls._make(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1, (n, n))
 
     @classmethod
-    def zeros(cls, rows: int, cols: int, field: FieldSpec) -> "DenseMatrix":
-        return cls._make(((0,) * cols,) * rows, 1, field, (rows, cols))
+    def zeros(cls, rows: int, cols: int) -> "DenseMatrix":
+        return cls._make(((0,) * cols,) * rows, 1, (rows, cols))
 
     @property
     def entries(self) -> tuple:
-        """The entries as field elements: Fractions over Q, residues over GF(p)."""
-        if self.field.p is not None:
-            return self.num
+        """The entries as Fractions."""
         den = self.den
         return tuple(tuple(Fraction(v, den) for v in r) for r in self.num)
 
     def __eq__(self, other):
         return (
             isinstance(other, DenseMatrix)
-            and self.field == other.field
             and self.rows == other.rows
             and self.cols == other.cols
             and self.den == other.den
@@ -351,12 +335,11 @@ class DenseMatrix:
         )
 
     def __hash__(self):
-        return hash((self.field, self.rows, self.cols, self.den, self.num))
+        return hash((self.rows, self.cols, self.den, self.num))
 
     def __getitem__(self, ij):
         i, j = ij
-        v = self.num[i][j]
-        return v if self.field.p is not None else Fraction(v, self.den)
+        return Fraction(self.num[i][j], self.den)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -370,32 +353,33 @@ class DenseMatrix:
         den = lcm(self.den, other.den)
         fa, fb = den // self.den, sign * (den // other.den)
         num = tuple(tuple(a * fa + b * fb for a, b in zip(ra, rb)) for ra, rb in zip(self.num, other.num))
-        return DenseMatrix._make(num, den, self.field, (self.rows, self.cols))
+        return DenseMatrix._make(num, den, (self.rows, self.cols))
 
     def __neg__(self):
         num = tuple(tuple(-v for v in r) for r in self.num)
-        return DenseMatrix._make(num, self.den, self.field, (self.rows, self.cols))
+        return DenseMatrix._make(num, self.den, (self.rows, self.cols))
 
     def __mul__(self, other):
         if isinstance(other, DenseMatrix):
-            if self.cols != other.rows or self.field != other.field:
-                raise ValueError("incompatible shapes/fields for product")
+            if self.cols != other.rows:
+                raise ValueError("incompatible shapes for product")
             bt = tuple(zip(*other.num)) if other.num else ((),) * other.cols
             num = tuple(tuple(sum(map(mul, ra, cb)) for cb in bt) for ra in self.num)
-            return DenseMatrix._make(num, self.den * other.den, self.field, (self.rows, other.cols))
+            return DenseMatrix._make(num, self.den * other.den, (self.rows, other.cols))
         return self.scale(other)
 
     def scale(self, c):
-        f = self.field
-        if f.p is not None or not isinstance(c, int):  # over Q an int is its own numerator over 1
-            c = f.of(c)
+        if not isinstance(c, int):  # an int is its own numerator over 1
+            c = RATIONALS.of(c)
         num = tuple(tuple(c.numerator * v for v in r) for r in self.num)
-        return DenseMatrix._make(num, self.den * c.denominator, f, (self.rows, self.cols))
+        return DenseMatrix._make(num, self.den * c.denominator, (self.rows, self.cols))
 
     def __pow__(self, k: int):
         if self.rows != self.cols:
             raise ValueError("power of a non-square matrix")
-        acc = DenseMatrix.identity(self.rows, self.field)
+        if k < 0:
+            raise ValueError(f"negative exponent {k}")
+        acc = DenseMatrix.identity(self.rows)
         base = self
         while k:
             if k & 1:
@@ -406,30 +390,29 @@ class DenseMatrix:
 
     def transpose(self) -> "DenseMatrix":
         num = tuple(zip(*self.num)) if self.num else ((),) * self.cols
-        return DenseMatrix._make(num, self.den, self.field, (self.cols, self.rows))
+        return DenseMatrix._make(num, self.den, (self.cols, self.rows))
 
-    def trace(self):
-        acc = sum(self.num[i][i] for i in range(min(self.rows, self.cols)))
-        return acc % self.field.p if self.field.p is not None else Fraction(acc, self.den)
+    def trace(self) -> Fraction:
+        return Fraction(sum(self.num[i][i] for i in range(min(self.rows, self.cols))), self.den)
 
     def is_zero(self) -> bool:
         return not any(any(r) for r in self.num)
 
     def _check_same_shape(self, other):
-        if self.rows != other.rows or self.cols != other.cols or self.field != other.field:
-            raise ValueError("shape/field mismatch")
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("shape mismatch")
 
     def rank(self) -> int:
-        basis = EchelonBasis(self.field)
+        basis = EchelonBasis(RATIONALS)
         for row in self.num:
             basis.insert({j: v for j, v in enumerate(row) if v})
         return basis.rank
 
     def nullspace_basis(self) -> list[list]:
         """Basis of {x : self @ x = 0}, one vector per free column."""
-        zero = self.field.of(0)
+        zero = Fraction(0)
         rows = [{j: v for j, v in enumerate(row) if v} for row in self.num]
-        ann = annihilator_basis(rows, self.cols, self.field)
+        ann = annihilator_basis(rows, self.cols, RATIONALS)
         return [[vec.get(j, zero) for j in range(self.cols)] for vec in ann]
 
     def solve(self, rhs: "DenseMatrix") -> "DenseMatrix":
@@ -437,16 +420,14 @@ class DenseMatrix:
 
         With self = A/a and rhs = B/b, the integer rows [b.A | a.B] have
         the same solution.  After integer back-reduction row i is
-        [p_i e_i | r_i], so X = r_i / p_i, over the lcm of the pivots p_i
-        (each 1 over GF(p)).
+        [p_i e_i | r_i], so X = r_i / p_i, over the lcm of the pivots p_i.
         """
         if self.rows != self.cols:
             raise ValueError("solve with a non-square matrix")
-        if rhs.rows != self.rows or rhs.field != self.field:
-            raise ValueError("incompatible shapes/fields for solve")
-        f = self.field
+        if rhs.rows != self.rows:
+            raise ValueError("incompatible shapes for solve")
         n = self.rows
-        basis = EchelonBasis(f)
+        basis = EchelonBasis(RATIONALS)
         sa, sb = rhs.den, self.den
         for row, rhs_row in zip(self.num, rhs.num):
             vec = {j: sa * v for j, v in enumerate(row) if v}
@@ -459,17 +440,17 @@ class DenseMatrix:
         num = tuple(
             tuple(final[i].get(n + j, 0) * (den // final[i][i]) for j in range(rhs.cols)) for i in range(n)
         )
-        return DenseMatrix._make(num, den, f, (n, rhs.cols))
+        return DenseMatrix._make(num, den, (n, rhs.cols))
 
     def inverse(self) -> "DenseMatrix":
-        return self.solve(DenseMatrix.identity(self.rows, self.field))
+        return self.solve(DenseMatrix.identity(self.rows))
 
     def to_lists(self):
         return [list(r) for r in self.entries]
 
     def __repr__(self):
         body = "; ".join(" ".join(str(v) for v in r) for r in self.entries)
-        return f"DenseMatrix({self.rows}x{self.cols} over {self.field}: [{body}])"
+        return f"DenseMatrix({self.rows}x{self.cols}: [{body}])"
 
 
 def annihilator_basis(rows: list[dict], dim: int, field: FieldSpec) -> list[dict]:
@@ -500,18 +481,16 @@ def annihilator_basis(rows: list[dict], dim: int, field: FieldSpec) -> list[dict
 def char_poly(m: DenseMatrix) -> list[Fraction]:
     """Characteristic polynomial coefficients [1, c1, ..., cn], descending.
 
-    Faddeev-LeVerrier recursion; divides by 1..n, so rationals only.
+    Faddeev-LeVerrier recursion; divides by 1..n.
     """
-    if not m.field.is_rational:
-        raise ValueError("char_poly requires the rational field")
     if m.rows != m.cols:
         raise ValueError("char_poly of a non-square matrix")
     n = m.rows
     coeffs = [Fraction(1)]
-    mk = DenseMatrix.identity(n, m.field)
+    mk = DenseMatrix.identity(n)
     for k in range(1, n + 1):
         if k > 1:
-            mk = m * mk + DenseMatrix.identity(n, m.field).scale(coeffs[-1])
+            mk = m * mk + DenseMatrix.identity(n).scale(coeffs[-1])
         prod = m * mk
         c = -Fraction(prod.trace(), k)
         coeffs.append(c)

@@ -1,6 +1,6 @@
-"""The in-repo corpus every check and demo runs against, offline."""
+"""The named complexes and graphs the demos and tests start from, built in memory."""
 
-from .laygraph import LayeredGraph, SimplicialComplex, boolean_graph, complex_graph, hat
+from .laygraph import LayeredGraph, SimplicialComplex
 
 
 def delta2() -> SimplicialComplex:
@@ -42,11 +42,6 @@ def wedge_triangles() -> SimplicialComplex:
     return SimplicialComplex([[1, 2, 3], [3, 4, 5]])
 
 
-def triangle_plus_edge() -> SimplicialComplex:
-    """A triangle with a dangling edge: not pure."""
-    return SimplicialComplex([[1, 2, 3], [3, 4]])
-
-
 def single_edge_graph() -> LayeredGraph:
     """Height-1 graph with one generator: one vertex over the minimum."""
     return LayeredGraph([("∅", 0), ("a", 1)], [("a", "∅")])
@@ -62,27 +57,3 @@ def nonuniform_graph() -> LayeredGraph:
         [("∅", 0), ("p", 1), ("q", 1), ("c", 2), ("d", 2), ("T", 3)],
         [("T", "c"), ("T", "d"), ("c", "p"), ("d", "q"), ("p", "∅"), ("q", "∅")],
     )
-
-
-def complexes() -> list:
-    return [
-        ("delta2", delta2()),
-        ("boundary_delta3", boundary_delta3()),
-        ("rp2_six", rp2_six()),
-    ]
-
-
-def koszul_corpus() -> list:
-    """(name, graph) pairs whose algebras are numerically Koszul over any field."""
-    corpus = [(f"boolean_{n}", boolean_graph(n)) for n in range(1, 5)]
-    corpus += [(f"faces_{name}", complex_graph(x)) for name, x in complexes()]
-    corpus += [
-        ("hat_delta2", hat(complex_graph(delta2()))),
-        ("hat_boundary_delta3", hat(complex_graph(boundary_delta3()))),
-    ]
-    return corpus
-
-
-def full_graph_corpus() -> list:
-    """Koszul corpus plus the hatted projective plane (non-Koszul in char 2)."""
-    return koszul_corpus() + [("hat_rp2_six", hat(complex_graph(rp2_six())))]

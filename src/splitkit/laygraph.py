@@ -93,9 +93,6 @@ class LayeredGraph:
     def level(self, v: str) -> int:
         return self._level[v]
 
-    def ids(self) -> tuple:
-        return tuple(v for v, _ in self.vertices)
-
     def level_vertices(self, i: int) -> tuple:
         return tuple(v for v, lv in self.vertices if lv == i)
 
@@ -328,10 +325,6 @@ class SimplicialComplex:
         if hasattr(self, "facets") and name not in ("_faces", "_star"):
             raise AttributeError("SimplicialComplex is immutable")
         super().__setattr__(name, value)
-
-    @property
-    def vertices(self) -> tuple:
-        return tuple(sorted({v for f in self.facets for v in f}))
 
     def is_empty(self) -> bool:
         return not self.facets

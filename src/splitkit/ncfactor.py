@@ -10,10 +10,10 @@ between them.
 `PseudoRootTable` computes the conjugates by the diamond recurrence,
 which solves the two exchange identities of `check_diamond` for one
 corner: each entry costs a d x d inverse and never forms a block
-Vandermonde.  `block_vandermonde` and the quasideterminants stay as the
-independent definition: tests check the table against them, and
-`genericity_check` falls back on the block Vandermonde ranks to name the
-singular configurations of a degenerate system.
+Vandermonde.  `genericity_check` falls back on the ranks of
+`block_vandermonde` to name the singular configurations of a degenerate
+system; the quasideterminants built from it, the independent definition
+of the table, live with the tests.
 
 `check_diamonds` decides whether the n! factorizations agree from the
 C(n,2) . 2^(n-2) diamonds, each an adjacent swap of two factors, and
@@ -27,7 +27,7 @@ import itertools
 from math import lcm
 
 from .errors import GenericityFailure, SingularMatrix
-from .exactlinalg import RATIONALS, DenseMatrix
+from .exactlinalg import DenseMatrix
 
 GENERIC_TRIES = 200  # random draws random_generic_roots makes before giving up
 
@@ -45,8 +45,6 @@ class RootSystem:
         for m in roots:
             if not isinstance(m, DenseMatrix) or m.rows != m.cols or m.rows != d:
                 raise ValueError("roots must be square matrices of a common size")
-            if not m.field.is_rational:
-                raise ValueError("roots must be rational matrices")
         self._table = None  # before roots, which the immutability guard keys on
         self.roots = roots
 
@@ -76,11 +74,11 @@ class RootSystem:
 
     @classmethod
     def from_scalars(cls, values) -> "RootSystem":
-        return cls(tuple(DenseMatrix([[v]], RATIONALS) for v in values))
+        return cls(tuple(DenseMatrix([[v]]) for v in values))
 
     @classmethod
     def from_entries(cls, matrices) -> "RootSystem":
-        return cls(tuple(DenseMatrix(m, RATIONALS) for m in matrices))
+        return cls(tuple(DenseMatrix(m) for m in matrices))
 
 
 def _assemble(grid) -> DenseMatrix:
@@ -89,7 +87,7 @@ def _assemble(grid) -> DenseMatrix:
     num = tuple(
         tuple(v * (den // b.den) for b in brow for v in b.num[dr]) for brow in grid for dr in range(brow[0].rows)
     )
-    return DenseMatrix._make(num, den, RATIONALS, (len(num), len(num[0])))
+    return DenseMatrix._make(num, den, (len(num), len(num[0])))
 
 
 def block_vandermonde(rs: RootSystem, indices) -> DenseMatrix:
@@ -103,33 +101,6 @@ def block_vandermonde(rs: RootSystem, indices) -> DenseMatrix:
         raise ValueError("indices must be distinct")
     k = len(indices) - 1
     return _assemble([[rs.root(i) ** (k - r) for i in indices] for r in range(k + 1)])
-
-
-def quasideterminant_ordered(rs: RootSystem, ordered_a, i: int) -> DenseMatrix:
-    """Schur-complement quasideterminant w for an explicit ordering of A.
-
-    w = x_i^k - r . W(A)^{-1} . c with k = |A|, r the top block row over A
-    and c the powers column of x_i.  The result is independent of the
-    ordering of A; `quasideterminant` exposes the canonical sorted form.
-    """
-    ordered_a = list(ordered_a)
-    k = len(ordered_a)
-    if i in ordered_a:
-        raise ValueError(f"index {i} must not lie in A")
-    xi = rs.root(i)
-    if k == 0:
-        return DenseMatrix.identity(rs.d, RATIONALS)
-    try:
-        inner_inv = block_vandermonde(rs, ordered_a).inverse()
-    except SingularMatrix as exc:
-        raise GenericityFailure(ordered_a, "inner block Vandermonde is singular") from exc
-    r_mat = _assemble([[rs.root(a) ** k for a in ordered_a]])
-    c_mat = _assemble([[xi**p] for p in range(k - 1, -1, -1)])
-    return xi**k - r_mat * inner_inv * c_mat
-
-
-def quasideterminant(rs: RootSystem, a, i: int) -> DenseMatrix:
-    return quasideterminant_ordered(rs, sorted(a), i)
 
 
 class PseudoRootTable:
@@ -151,7 +122,7 @@ class PseudoRootTable:
         key = (a, i)
         if key not in self._cache:
             if not a:
-                self._cache[key] = (DenseMatrix.identity(self.rs.d, RATIONALS), self.rs.root(i))
+                self._cache[key] = (DenseMatrix.identity(self.rs.d), self.rs.root(i))
             else:
                 b = a - {max(a)}
                 w_b, x_b = self.pair(b, i)
@@ -276,8 +247,8 @@ def viete_coefficients(rs: RootSystem, ordering) -> MatrixPolynomial:
     """
     ys = _ordering_pseudo_roots(rs, ordering)
     d = rs.d
-    ident = DenseMatrix.identity(d, RATIONALS)
-    zero = DenseMatrix.zeros(d, d, RATIONALS)
+    ident = DenseMatrix.identity(d)
+    zero = DenseMatrix.zeros(d, d)
     sums = [ident] + [zero] * rs.n
     for k, y in enumerate(ys, start=1):  # y becomes the leftmost factor
         for m in range(k, 0, -1):  # sums[m] is still zero for m > k
@@ -293,7 +264,7 @@ def expand_factorization(rs: RootSystem, ordering) -> MatrixPolynomial:
     the two must agree entrywise on generic input.
     """
     ys = _ordering_pseudo_roots(rs, ordering)
-    coeffs = [DenseMatrix.identity(rs.d, RATIONALS)]
+    coeffs = [DenseMatrix.identity(rs.d)]
     for y in ys:  # multiply by (t - y) on the left
         nxt = [coeffs[0]]
         for j in range(1, len(coeffs) + 1):
@@ -362,7 +333,7 @@ def vandermonde_polynomial(rs: RootSystem) -> MatrixPolynomial:
     except SingularMatrix as exc:
         raise GenericityFailure(range(1, n + 1), "block Vandermonde W(1..n) is singular") from exc
     blocks = (tuple(r[m * d : (m + 1) * d] for r in row.num) for m in range(n))
-    return MatrixPolynomial(tuple(DenseMatrix._make(b, row.den, RATIONALS, (d, d)) for b in blocks))
+    return MatrixPolynomial(tuple(DenseMatrix._make(b, row.den, (d, d)) for b in blocks))
 
 
 class DiamondCheck:

@@ -65,6 +65,8 @@ class IntPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError(f"negative exponent {k}")
         acc = IntPolynomial([1])
         for _ in range(k):
             acc = acc * self
@@ -186,10 +188,8 @@ def poly_divide(num: IntPolynomial, den: IntPolynomial) -> tuple[IntPolynomial, 
     return IntPolynomial(q), IntPolynomial(rem)
 
 
-def substitute_neg(a):
+def substitute_neg(a: IntPolynomial) -> IntPolynomial:
     """Substitute tau -> -tau, i.e. negate every odd coefficient."""
-    if isinstance(a, TruncatedSeries):
-        return TruncatedSeries([c if k % 2 == 0 else -c for k, c in enumerate(a.coeffs)])
     return IntPolynomial([c if k % 2 == 0 else -c for k, c in enumerate(a.coeffs)])
 
 

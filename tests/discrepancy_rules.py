@@ -9,9 +9,9 @@ and ranks every Delta(v, k) from its own facets, where the shipped table reads
 them all off one filtered complex per vertex.
 """
 
+from corpus import full_graph_corpus
 from splitkit.dualalg import discrepancy_lhs_table
 from splitkit.exactlinalg import GF2, RATIONALS
-from splitkit.fixtures import full_graph_corpus
 from splitkit.laygraph import SimplicialComplex, subspace_graph
 from splitkit.topo import _down_paths, betti, discrepancy_rhs_table
 

@@ -644,7 +644,7 @@ def test_graph_out_writes_hat_file(capsys, tmp_path):
     code, out, _ = run(capsys, "graph", "--boolean", "2", "--hat", "--out", str(out_path))
     assert code == 0
     g = LayeredGraph.from_json_dict(json.loads(out_path.read_text(encoding="utf-8")))
-    assert g.height == 3 and "M" in g.ids()
+    assert g.height == 3 and "M" in {v for v, _ in g.vertices}
 
 
 def test_cli_import_loads_no_test_only_modules():

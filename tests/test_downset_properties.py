@@ -99,13 +99,13 @@ def codim1_connected_complexes(draw):
 @seed(20090931)
 @given(layered_graphs())
 def test_down_paths_are_the_order_complex_of_the_truncated_down_set(g):
-    rank = {v: i for i, v in enumerate(g.ids())}
+    rank = {v: i for i, (v, _) in enumerate(g.vertices)}
     desc = g.descendants()
     for v, lv in g.vertices:
         for k in range(2, lv + 1):
             kept = {w for w in desc[v] if g.level(w) > lv - k}  # T(v, k)
-            exclude = {w for w in g.ids() if w not in kept}
-            elems = [w for w in g.ids() if w not in exclude]  # order_complex's labels
+            exclude = {w for w, _ in g.vertices if w not in kept}
+            elems = [w for w, _ in g.vertices if w not in exclude]  # order_complex's labels
             oracle = order_complex(g, exclude=exclude)
             relabelled = SimplicialComplex([[rank[elems[i]] for i in f] for f in oracle.facets])
             assert SimplicialComplex(_down_paths(g, rank, v, k)).facets == relabelled.facets, (v, k)

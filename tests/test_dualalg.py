@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from corpus import full_graph_corpus, koszul_corpus
 from discrepancy_rules import calibrate, calibration_cases
 from path_words import path_word_hilbert
 from splitkit.dualalg import (
@@ -19,7 +20,7 @@ from splitkit.dualalg import (
 )
 from splitkit.errors import SizeLimit
 from splitkit.exactlinalg import GF2, GF3, RATIONALS
-from splitkit.fixtures import koszul_corpus, rp2_six, single_edge_graph
+from splitkit.fixtures import rp2_six, single_edge_graph
 from splitkit.laygraph import (
     LayeredGraph,
     SimplicialComplex,
@@ -258,7 +259,6 @@ def test_vertex_dims_equal_top_down_set_homology():
     # degree-k dimension of the block of paths from v, is the top reduced
     # Betti number b~_(k-2) of the order complex of the k-1 levels
     # strictly below v; vertex_hilbert sums these blocks
-    from splitkit.fixtures import full_graph_corpus
     from chains import order_complex
     from splitkit.topo import betti
 
@@ -276,7 +276,7 @@ def test_vertex_dims_equal_top_down_set_homology():
                 assert blocks[v][:2] == [0, 1] and len(blocks[v]) == lv + 1, (name, v)
                 for k in range(2, lv + 1):
                     kept = {w for w in desc[v] if g.level(w) > lv - k}
-                    oc = order_complex(g, exclude={w for w in g.ids() if w not in kept})
+                    oc = order_complex(g, exclude={w for w, _ in g.vertices if w not in kept})
                     assert blocks[v][k] == betti(oc, field)[k - 2], (name, field, v, k)
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from minors import minor_rank
 from splitkit.errors import SingularMatrix
 from splitkit.exactlinalg import (
     GF2,
@@ -18,8 +19,11 @@ from splitkit.exactlinalg import (
 )
 
 
-def mat(rows, field=RATIONALS):
-    return DenseMatrix(rows, field)
+def sparse_rank(rows, field) -> int:
+    basis = EchelonBasis(field)
+    for row in rows:
+        basis.insert({j: v for j, v in enumerate(row) if v})
+    return basis.rank
 
 
 def random_int_matrix(rng, rows, cols, bound=6):
@@ -61,39 +65,46 @@ def test_field_coercion():
     assert GF2.of(-1) == 1
 
 
+def test_dense_matrix_shape_is_read_off_its_rows():
+    m = DenseMatrix([[1, "1/2"], [Fraction(2, 3), 0]])
+    assert (m.rows, m.cols, m.den) == (2, 2, 6) and m[0, 1] == Fraction(1, 2)
+    with pytest.raises(ValueError, match="^ragged rows$"):
+        DenseMatrix([[1, 2], [3]])
+
+
 def test_rank_identity():
-    assert mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).rank() == 3
+    assert DenseMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).rank() == 3
 
 
 def test_rank_all_ones_gf2():
-    assert mat([[1, 1], [1, 1]], GF2).rank() == 1
+    assert sparse_rank([[1, 1], [1, 1]], GF2) == 1
 
 
 def test_rank_dependent_rows():
     # third row independent, second a multiple of the first
-    assert mat([[1, 2], [2, 4], [0, 1]]).rank() == 2
+    assert DenseMatrix([[1, 2], [2, 4], [0, 1]]).rank() == 2
 
 
 def test_inverse_identity_and_swap():
-    ident = DenseMatrix.identity(3, RATIONALS)
+    ident = DenseMatrix.identity(3)
     assert ident.inverse() == ident
-    swap = mat([[0, 1], [1, 0]])
+    swap = DenseMatrix([[0, 1], [1, 0]])
     assert swap.inverse() == swap
 
 
 def test_inverse_upper_triangular():
-    assert mat([[1, 1], [0, 1]]).inverse() == mat([[1, -1], [0, 1]])
+    assert DenseMatrix([[1, 1], [0, 1]]).inverse() == DenseMatrix([[1, -1], [0, 1]])
 
 
 def test_inverse_singular_raises():
     with pytest.raises(SingularMatrix):
-        mat([[1, 2], [2, 4]]).inverse()
+        DenseMatrix([[1, 2], [2, 4]]).inverse()
 
 
 def test_nullspace_dims():
-    assert len(DenseMatrix.zeros(2, 3, RATIONALS).nullspace_basis()) == 3
-    assert len(DenseMatrix.identity(3, RATIONALS).nullspace_basis()) == 0
-    assert len(mat([[1, 1], [1, 1]], GF2).nullspace_basis()) == 1
+    assert len(DenseMatrix.zeros(2, 3).nullspace_basis()) == 3
+    assert len(DenseMatrix.identity(3).nullspace_basis()) == 0
+    assert len(annihilator_basis([{0: 1, 1: 1}, {0: 1, 1: 1}], 2, GF2)) == 1
 
 
 def test_annihilator_examples():
@@ -112,19 +123,19 @@ def test_inverse_times_matrix_is_identity_random():
     rng = random.Random(0)
     for _ in range(25):
         n = rng.randint(1, 5)
-        m = mat(random_int_matrix(rng, n, n))
+        m = DenseMatrix(random_int_matrix(rng, n, n))
         try:
             inv = m.inverse()
         except SingularMatrix:
             continue
-        assert inv * m == DenseMatrix.identity(n, RATIONALS)
-        assert m * inv == DenseMatrix.identity(n, RATIONALS)
+        assert inv * m == DenseMatrix.identity(n)
+        assert m * inv == DenseMatrix.identity(n)
 
 
 def test_rank_equals_rank_of_transpose_random():
     rng = random.Random(1)
     for _ in range(40):
-        m = mat(random_int_matrix(rng, rng.randint(1, 5), rng.randint(1, 5)))
+        m = DenseMatrix(random_int_matrix(rng, rng.randint(1, 5), rng.randint(1, 5)))
         assert m.rank() == m.transpose().rank()
 
 
@@ -134,7 +145,9 @@ def test_rational_rank_bounds_modular_rank(p):
     field = FieldSpec(p)
     for _ in range(25):
         rows = random_int_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        assert mat(rows).rank() >= mat(rows, field).rank()
+        modular = sparse_rank(rows, field)
+        assert modular == minor_rank(rows, field)
+        assert DenseMatrix(rows).rank() >= modular
 
 
 def test_annihilator_size_plus_rank_is_dimension_random():
@@ -143,7 +156,7 @@ def test_annihilator_size_plus_rank_is_dimension_random():
         d = rng.randint(1, 6)
         rows = random_int_matrix(rng, rng.randint(0, 6), d)
         ann = annihilator_basis([{j: v for j, v in enumerate(row) if v} for row in rows], d, RATIONALS)
-        r = mat(rows).rank() if rows else 0
+        r = DenseMatrix(rows).rank() if rows else 0
         assert len(ann) + r == d
         for f in ann:
             for row in rows:
@@ -151,15 +164,20 @@ def test_annihilator_size_plus_rank_is_dimension_random():
 
 
 def test_matrix_power_and_trace():
-    m = mat([[1, 1], [0, 1]])
-    assert m**0 == DenseMatrix.identity(2, RATIONALS)
-    assert m**3 == mat([[1, 3], [0, 1]])
+    m = DenseMatrix([[1, 1], [0, 1]])
+    assert m**0 == DenseMatrix.identity(2)
+    assert m**3 == DenseMatrix([[1, 3], [0, 1]])
     assert m.trace() == 2
+
+
+def test_matrix_power_refuses_a_negative_exponent():
+    with pytest.raises(ValueError, match="^negative exponent -1$"):
+        DenseMatrix([[2]]) ** -1
 
 
 def test_char_poly_companion():
     # companion matrix of t^2 - 3t + 2 (roots 1 and 2)
-    m = mat([[0, -2], [1, 3]])
+    m = DenseMatrix([[0, -2], [1, 3]])
     assert char_poly(m) == [Fraction(1), Fraction(-3), Fraction(2)]
 
 

@@ -1,10 +1,11 @@
 """Seeded property tests for the one elimination kernel (EchelonBasis).
 
-Every DenseMatrix rank, null space, inverse and solve, and every Betti number,
-is read off an EchelonBasis.  The dense oracles here avoid elimination:
-matrix products by `DenseMatrix.__mul__`, ranks and singularity from
-Leibniz determinants of minors, and Betti numbers from coning and the
-Euler characteristic.  The sparse-row tests check `reduced_rows`,
+Every rank and null space, dense or sparse, every rational inverse and
+solve, and every Betti number, is read off an EchelonBasis.  The oracles
+here avoid elimination: ranks and singularity from Leibniz determinants
+of minors (`tests/minors.py`), reduced mod p over GF(p), matrix products
+by `DenseMatrix.__mul__`, and Betti numbers from coning and the Euler
+characteristic.  The sparse-row tests check `reduced_rows`,
 `annihilator_basis` and the quadratic dual against the RREF definition,
 dot products computed here, and ranks from `insert` alone.  Over Q the
 kernel eliminates on primitive integer rows; rows with non-integer
@@ -12,7 +13,6 @@ Fraction entries check that path against the minor oracle, and `betti`,
 which skips cleared columns, is checked against ranks of every column.
 """
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from minors import det, minor_rank
 from splitkit.dualalg import QuadraticPresentation, quadratic_dual
 from splitkit.errors import SingularMatrix
 from splitkit.exactlinalg import GF2, GF3, RATIONALS, DenseMatrix, EchelonBasis, annihilator_basis
@@ -30,57 +31,50 @@ FIELDS = (RATIONALS, GF2, GF3)
 SETTINGS = settings(max_examples=150, deadline=None, database=None)
 
 
-def _det(rows, field):
-    """Leibniz expansion: the sum over permutations of signed products."""
-    acc = 0
-    for perm in itertools.permutations(range(len(rows))):
-        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(perm)), 2))
-        term = 1 if inversions % 2 == 0 else -1
-        for i, j in enumerate(perm):
-            term *= rows[i][j]
-        acc += term
-    return field.of(acc)
-
-
-def _minor_rank(m: DenseMatrix) -> int:
-    """Largest k with a nonzero k x k minor."""
-    for k in range(min(m.rows, m.cols), 0, -1):
-        for rs in itertools.combinations(range(m.rows), k):
-            for cs in itertools.combinations(range(m.cols), k):
-                if _det([[m[i, j] for j in cs] for i in rs], m.field):
-                    return k
-    return 0
-
-
 @st.composite
-def matrices(draw, square=False):
-    field = draw(st.sampled_from(FIELDS))
+def int_matrices(draw, square=False):
+    """A small integer matrix as a list of rows, often with many zeros."""
     rows = draw(st.integers(1, 4))
     cols = rows if square else draw(st.integers(1, 5))
     entry = st.integers(-3, 3) if draw(st.booleans()) else st.sampled_from([0, 0, 1, -1])
-    return DenseMatrix([[draw(entry) for _ in range(cols)] for _ in range(rows)], field)
+    return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+
+def _sparse(rows) -> list:
+    return [{j: v for j, v in enumerate(r) if v} for r in rows]
 
 
 @SETTINGS
 @seed(20090911)
-@given(matrices())
-def test_nullspace_rank_and_rank_nullity(m):
-    basis = m.nullspace_basis()
-    for v in basis:
-        assert (m * DenseMatrix([[x] for x in v], m.field)).is_zero()
-    rank = _minor_rank(m)
-    assert m.rank() == rank
-    assert rank + len(basis) == m.cols
-    if basis:
-        assert _minor_rank(DenseMatrix(basis, m.field)) == len(basis)
+@given(int_matrices(), st.sampled_from(FIELDS))
+def test_nullspace_rank_and_rank_nullity(rows, field):
+    # the kernel on sparse rows over every field; over Q also the dense
+    # matrix, whose rank and null space come from the same kernel
+    cols = len(rows[0])
+    ann = annihilator_basis(_sparse(rows), cols, field)
+    for f in ann:
+        for r in rows:
+            assert not _dot(f, dict(enumerate(r)), field)
+    rank = minor_rank(rows, field)
+    assert _rank(_sparse(rows), field) == rank
+    assert rank + len(ann) == cols
+    if ann:
+        assert minor_rank([[f.get(j, 0) for j in range(cols)] for f in ann], field) == len(ann)
+    if field is RATIONALS:
+        m = DenseMatrix(rows)
+        basis = m.nullspace_basis()
+        for v in basis:
+            assert (m * DenseMatrix([[x] for x in v])).is_zero()
+        assert m.rank() == rank and len(basis) == len(ann)
 
 
 @SETTINGS
 @seed(20090912)
-@given(matrices(square=True))
-def test_inverse_exactly_when_full_rank(m):
-    identity = DenseMatrix.identity(m.rows, m.field)
-    if _det(m.entries, m.field):
+@given(int_matrices(square=True))
+def test_inverse_exactly_when_full_rank(rows):
+    m = DenseMatrix(rows)
+    identity = DenseMatrix.identity(m.rows)
+    if det(rows):
         inv = m.inverse()
         assert m * inv == identity and inv * m == identity
         assert m.rank() == m.rows
@@ -92,11 +86,12 @@ def test_inverse_exactly_when_full_rank(m):
 
 @SETTINGS
 @seed(20090919)
-@given(matrices(square=True), st.data())
-def test_solve_exactly_when_full_rank(m, data):
+@given(int_matrices(square=True), st.data())
+def test_solve_exactly_when_full_rank(rows, data):
+    m = DenseMatrix(rows)
     cols = data.draw(st.integers(1, 3))
-    rhs = DenseMatrix([[data.draw(st.integers(-3, 3)) for _ in range(cols)] for _ in range(m.rows)], m.field)
-    if _det(m.entries, m.field):
+    rhs = DenseMatrix([[data.draw(st.integers(-3, 3)) for _ in range(cols)] for _ in range(m.rows)])
+    if det(rows):
         assert m * m.solve(rhs) == rhs
     else:
         with pytest.raises(SingularMatrix):
@@ -177,7 +172,7 @@ def test_column_classes_are_the_quotient_map(system):
     assert len(classes) == dim and len(free) == dim - basis.rank
     for c, cls in enumerate(classes):
         for v in cls.values():
-            if field.is_rational:  # an int where the pivot divides, never a float
+            if field.p is None:  # an int where the pivot divides, never a float
                 assert type(v) is int or (type(v) is Fraction and v.denominator != 1)
             else:
                 assert type(v) is int and 0 < v < field.p
@@ -242,7 +237,7 @@ def test_fraction_rows_rank_and_rref(rows, cols):
     basis = EchelonBasis(RATIONALS)
     for r in rows:
         basis.insert({j: v for j, v in enumerate(r) if v})
-    assert basis.rank == _minor_rank(DenseMatrix(rows, RATIONALS))
+    assert basis.rank == minor_rank(rows)
     rref = basis.reduced_rows()
     pivots = [min(r) for r in rref]
     assert len(rref) == basis.rank and pivots == sorted(set(pivots))

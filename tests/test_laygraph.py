@@ -4,16 +4,9 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from corpus import full_graph_corpus, triangle_plus_edge
 from splitkit.errors import SizeLimit, ValidationError
-from splitkit.fixtures import (
-    boundary_delta3,
-    delta2,
-    full_graph_corpus,
-    nonuniform_graph,
-    rp2_six,
-    triangle_plus_edge,
-    wedge_triangles,
-)
+from splitkit.fixtures import boundary_delta3, delta2, nonuniform_graph, rp2_six, wedge_triangles
 from splitkit.laygraph import (
     LayeredGraph,
     SimplicialComplex,

@@ -1,8 +1,9 @@
 import pytest
 
 from chains import mobius_value_chain
+from corpus import full_graph_corpus
 from splitkit.errors import SizeLimit
-from splitkit.fixtures import boundary_delta3, delta2, full_graph_corpus, rp2_six, single_edge_graph
+from splitkit.fixtures import boundary_delta3, delta2, rp2_six, single_edge_graph
 from splitkit.laygraph import boolean_graph, complex_graph, hat
 from splitkit.mobius import (
     graded_mobius,

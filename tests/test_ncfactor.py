@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from quasideterminants import quasideterminant, quasideterminant_ordered
 from splitkit.errors import GenericityFailure
-from splitkit.exactlinalg import RATIONALS, DenseMatrix, char_poly
+from splitkit.exactlinalg import DenseMatrix, char_poly
 from splitkit.ncfactor import (
     MatrixPolynomial,
     RootSystem,
@@ -16,8 +17,6 @@ from splitkit.ncfactor import (
     check_diamonds,
     expand_factorization,
     genericity_check,
-    quasideterminant,
-    quasideterminant_ordered,
     random_generic_roots,
     vandermonde_polynomial,
     viete_coefficients,
@@ -30,7 +29,7 @@ def scalars(*vals):
 
 def test_block_vandermonde_k0_is_identity():
     rs = scalars(7)
-    assert block_vandermonde(rs, [1]) == DenseMatrix.identity(1, RATIONALS)
+    assert block_vandermonde(rs, [1]) == DenseMatrix.identity(1)
 
 
 def test_block_vandermonde_scalar_cases():
@@ -56,7 +55,7 @@ def test_quasideterminant_scalar_values():
 
 def test_quasideterminant_empty_correction_is_identity():
     rs = scalars(5, 3)
-    assert quasideterminant(rs, set(), 1) == DenseMatrix.identity(1, RATIONALS)
+    assert quasideterminant(rs, set(), 1) == DenseMatrix.identity(1)
 
 
 def test_quasideterminant_is_order_independent():
@@ -172,9 +171,9 @@ def test_scalar_multiple_of_identity_degenerates_to_commutative_viete():
     chk = check_all_orderings(rs)
     assert chk.passed
     e1, e2, e3 = 6, 11, 6
-    assert chk.polynomial.coefficient(1) == DenseMatrix.identity(2, RATIONALS).scale(-e1)
-    assert chk.polynomial.coefficient(2) == DenseMatrix.identity(2, RATIONALS).scale(e2)
-    assert chk.polynomial.coefficient(3) == DenseMatrix.identity(2, RATIONALS).scale(-e3)
+    assert chk.polynomial.coefficient(1) == DenseMatrix.identity(2).scale(-e1)
+    assert chk.polynomial.coefficient(2) == DenseMatrix.identity(2).scale(e2)
+    assert chk.polynomial.coefficient(3) == DenseMatrix.identity(2).scale(-e3)
 
 
 def test_check_diamond_scalars_and_base_case():
@@ -293,7 +292,7 @@ def test_corrupted_table_entry_fails_both_routes():
     rs = random_generic_roots(4, 2, random.Random(41))
     assert genericity_check(rs).generic
     w, x = rs.table.pair({1, 3}, 2)
-    rs.table._cache[(frozenset({1, 3}), 2)] = (w, x + DenseMatrix.identity(2, RATIONALS))
+    rs.table._cache[(frozenset({1, 3}), 2)] = (w, x + DenseMatrix.identity(2))
     chk = check_diamonds(rs)
     oracle = check_all_orderings(rs)
     assert not chk.passed and not oracle.passed

@@ -13,12 +13,12 @@ import itertools
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from quasideterminants import quasideterminant
 from splitkit.ncfactor import (
     RootSystem,
     block_vandermonde,
     check_diamond,
     genericity_check,
-    quasideterminant,
 )
 
 SETTINGS = settings(max_examples=30, deadline=None, database=None)
