@@ -3,9 +3,14 @@
 Exit codes: 0 = success/pass, 1 = the mathematics says no (a failed
 check is still a valid result), 2 = bad input or usage.  Each `_cmd_*`
 returns (inputs, payload, exit code); `main` alone prints the report.
+
+Every subcommand's arguments are rows of one table, `_SUBCOMMANDS`.  A
+plain request is read straight off that table (`_read_argv`); argparse
+is built from the same table and imported only for what the reader
+declines, which is help, usage errors and unusual spellings, so argparse
+alone prints every help text and usage error.
 """
 
-import argparse
 import hashlib
 import json
 import math
@@ -13,6 +18,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import __version__
 from .caps import ORDERING_CAP, size_cap
@@ -69,15 +75,6 @@ def _load_json(path: str):
         raise ValidationError(f"cannot read {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON in {path} (line {exc.lineno}, column {exc.colno})") from exc
-
-
-def _add_graph_source(parser: argparse.ArgumentParser):
-    src = parser.add_mutually_exclusive_group(required=True)
-    src.add_argument("--boolean", type=int, metavar="N", help="subset-lattice graph on {1..N}")
-    src.add_argument("--subspace", type=int, nargs=2, metavar=("N", "Q"), help="subspace lattice of GF(Q)^N")
-    src.add_argument("--complex", metavar="FILE", help="simplicial complex JSON; its face-poset graph is used")
-    src.add_argument("--graph", metavar="FILE", help="layered graph JSON")
-    parser.add_argument("--hat", action="store_true", help="add one maximal vertex on top")
 
 
 def _build_graph(args) -> tuple:
@@ -295,53 +292,82 @@ def _cmd_factor(args) -> tuple:
     return desc, payload, 0 if chk.passed else 1
 
 
-def _add_field(p):
-    p.add_argument("--field", required=True, help="q or gf<p>")
+class _Option:
+    """One argument of a subcommand, as data that `build_parser` and `_read_argv` both read.
+
+    `names` are the option strings, or the one name of a positional
+    argument, which is always required; `dest` is the attribute argparse
+    derives from them.  `type` is int or str for an argument that takes
+    `nargs` values, and None for a flag (store_true).  The `source`
+    options of a subcommand form its graph-source group, of which a
+    request gives exactly one.
+    """
+
+    __slots__ = ("names", "dest", "type", "nargs", "metavar", "required", "source", "help")
+
+    def __init__(self, names, help, type=str, nargs=1, metavar=None, required=False, source=False):
+        self.names = names
+        self.dest = names[-1].lstrip("-")
+        self.type = type
+        self.nargs = 0 if type is None else nargs
+        self.metavar = metavar
+        self.required = required
+        self.source = source
+        self.help = help
 
 
-def _add_out(p):
-    p.add_argument("--out", metavar="FILE", help="also write the graph JSON to a file")
+_GRAPH_SOURCE = (
+    _Option(("--boolean",), "subset-lattice graph on {1..N}", int, metavar="N", source=True),
+    _Option(("--subspace",), "subspace lattice of GF(Q)^N", int, 2, ("N", "Q"), source=True),
+    _Option(("--complex",), "simplicial complex JSON; its face-poset graph is used", metavar="FILE", source=True),
+    _Option(("--graph",), "layered graph JSON", metavar="FILE", source=True),
+    _Option(("--hat",), "add one maximal vertex on top", None),
+)
+_FIELD = _Option(("--field",), "q or gf<p>", required=True)
+_REPORT = (
+    _Option(("--pretty",), "indented JSON output (default: compact)", None),
+    _Option(("--timings",), "include wall-clock timings in the report", None),
+)
 
-
-def _add_degree(p):
-    p.add_argument("-D", "--degree", type=int, help="truncation degree (default: 2 x height)")
-
-
-def _add_complex(p):
-    p.add_argument("--complex", required=True, metavar="FILE", help="simplicial complex JSON")
-
-
-def _add_roots(p):
-    p.add_argument("roots", metavar="ROOTS_JSON", help='{"d": size, "roots": [[["p/q", ...], ...], ...]}')
-
-
-# name -> (help, runner, adders of the arguments before --pretty and --timings), in help order
+# name -> (help, runner, arguments), in help order
 _SUBCOMMANDS = {
     "graph": (
         "build/validate a layered graph; report uniformity and purity",
         _cmd_graph,
-        (_add_graph_source, _add_out),
+        (*_GRAPH_SOURCE, _Option(("--out",), "also write the graph JSON to a file", metavar="FILE"), *_REPORT),
     ),
-    "mobius": ("graded Möbius polynomial of the graph poset", _cmd_mobius, (_add_graph_source,)),
+    "mobius": ("graded Möbius polynomial of the graph poset", _cmd_mobius, (*_GRAPH_SOURCE, *_REPORT)),
     "hilbert": (
         "Hilbert series of the edge algebra and its inverse polynomial",
         _cmd_hilbert,
-        (_add_graph_source, _add_degree),
+        (*_GRAPH_SOURCE, _Option(("-D", "--degree"), "truncation degree (default: 2 x height)", int), *_REPORT),
     ),
-    "dual": ("vertex-algebra presentation and graded dimensions", _cmd_dual, (_add_graph_source, _add_field)),
-    "koszul-check": ("numerical Koszulity: series side vs algebra side", _cmd_koszul, (_add_graph_source, _add_field)),
+    "dual": ("vertex-algebra presentation and graded dimensions", _cmd_dual, (*_GRAPH_SOURCE, _FIELD, *_REPORT)),
+    "koszul-check": (
+        "numerical Koszulity: series side vs algebra side",
+        _cmd_koszul,
+        (*_GRAPH_SOURCE, _FIELD, *_REPORT),
+    ),
     "discrepancy": (
         "degreewise series/algebra discrepancy vs its topological formula",
         _cmd_discrepancy,
-        (_add_graph_source, _add_field),
+        (*_GRAPH_SOURCE, _FIELD, *_REPORT),
     ),
-    "topology": ("Betti numbers and the homological Koszulity prediction", _cmd_topology, (_add_complex, _add_field)),
-    "factor": ("all factorizations of the polynomial with the given matrix roots", _cmd_factor, (_add_roots,)),
+    "topology": (
+        "Betti numbers and the homological Koszulity prediction",
+        _cmd_topology,
+        (_Option(("--complex",), "simplicial complex JSON", metavar="FILE", required=True), _FIELD, *_REPORT),
+    ),
+    "factor": (
+        "all factorizations of the polynomial with the given matrix roots",
+        _cmd_factor,
+        (_Option(("roots",), '{"d": size, "roots": [[["p/q", ...], ...], ...]}', metavar="ROOTS_JSON"), *_REPORT),
+    ),
 }
 
 
-def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser, with every subcommand or with `only` that one.
+def build_parser(only: str | None = None):
+    """The argparse parser, with every subcommand or with `only` that one.
 
     A request that names its subcommand first needs no other subparser.
     The one-subcommand parser lists every name in its usage line, so an
@@ -349,6 +375,8 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     the full parser keeps argparse's own metavar, which also names `cmd`
     in its "required" and "invalid choice" errors.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="splitkit",
         description="Exact computations on layered graphs, their algebras, and matrix-polynomial factorizations.",
@@ -356,21 +384,76 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"splitkit {__version__}")
     metavar = None if only is None else "{" + ",".join(_SUBCOMMANDS) + "}"
     sub = parser.add_subparsers(dest="cmd", required=True, metavar=metavar)
-    for name, (help_text, run, adders) in _SUBCOMMANDS.items():
+    for name, (help_text, run, options) in _SUBCOMMANDS.items():
         if only in (None, name):
             p = sub.add_parser(name, help=help_text)
-            for add in adders:
-                add(p)
-            p.add_argument("--pretty", action="store_true", help="indented JSON output (default: compact)")
-            p.add_argument("--timings", action="store_true", help="include wall-clock timings in the report")
+            group = None
+            for opt in options:
+                if opt.source and group is None:
+                    group = p.add_mutually_exclusive_group(required=True)
+                kwargs = {"action": "store_true"} if opt.type is None else {"type": opt.type, "metavar": opt.metavar}
+                if opt.nargs > 1:
+                    kwargs["nargs"] = opt.nargs
+                if opt.required:
+                    kwargs["required"] = True
+                (group if opt.source else p).add_argument(*opt.names, help=opt.help, **kwargs)
             p.set_defaults(run=run)
     return parser
 
 
+def _read_argv(argv: list):
+    """The namespace argparse gives for a plain request, read off `_SUBCOMMANDS`; None for anything else.
+
+    A plain request is a subcommand, then its arguments as exact tokens,
+    each option at most once, with its values in separate tokens that do
+    not start with "-", every required argument, and one graph source
+    where the subcommand has them.  Help, abbreviations, "--x=v", "--",
+    and every argv argparse would refuse read as None, so that argparse
+    alone prints help and usage errors.
+    """
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    _, run, options = _SUBCOMMANDS[argv[0]]
+    by_name = {name: opt for opt in options for name in opt.names if name.startswith("-")}
+    positional = [opt for opt in options if not opt.names[0].startswith("-")]
+    values = {opt.dest: False if opt.type is None else None for opt in options}
+    seen = set()
+    i = 1
+    while i < len(argv):
+        opt = by_name.get(argv[i])
+        if opt is None:  # any other token is the next positional argument's value
+            if not positional:
+                return None
+            opt, first = positional.pop(0), i
+        elif opt in seen:
+            return None
+        else:
+            first = i + 1
+        tokens = argv[first : first + opt.nargs]
+        if len(tokens) < opt.nargs or any(t.startswith("-") for t in tokens):
+            return None
+        i = first + opt.nargs
+        seen.add(opt)
+        if opt.type is None:
+            values[opt.dest] = True
+            continue
+        try:
+            read = [opt.type(t) for t in tokens]
+        except ValueError:
+            return None
+        values[opt.dest] = read if opt.nargs > 1 else read[0]
+    if positional or any(opt.required and opt not in seen for opt in options):
+        return None
+    if any(opt.source for opt in options) and sum(opt.source for opt in seen) != 1:
+        return None
+    return SimpleNamespace(cmd=argv[0], run=run, **values)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
-    args = parser.parse_args(argv)
+    args = _read_argv(argv)
+    if args is None:
+        args = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None).parse_args(argv)
     started = time.monotonic()
     try:
         inputs, payload, code = args.run(args)

@@ -68,9 +68,11 @@ class FieldSpec:
         return hash((self.p,))
 
     def of(self, value):
-        """Coerce int, Fraction, or a "p/q" string into a field element."""
+        """Coerce int, Fraction, or a "p/q" string into a field element; a float is a TypeError."""
         if isinstance(value, str):
             value = Fraction(value)
+        elif isinstance(value, float):  # its exact binary value is never the number meant
+            raise TypeError(f"a float is not an exact field element: {value!r}")
         if self.p is None:
             return value if isinstance(value, Fraction) else Fraction(value)
         if isinstance(value, Fraction):

@@ -1,5 +1,7 @@
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
 import os
 import random
@@ -11,8 +13,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from splitkit.cli import _parse_roots, build_parser, main
+from splitkit.cli import _SUBCOMMANDS, _parse_roots, _read_argv, build_parser, main
 from splitkit.dualalg import QuadraticPresentation
 from splitkit.laygraph import LayeredGraph, SimplicialComplex, subspace_graph
 from splitkit.mobius import hilbert_series_inverse
@@ -452,6 +456,14 @@ def test_file_os_errors_are_usage_errors(capsys, tmp_path):
         assert err.startswith("splitkit: ") and str(tmp_path) in err
 
 
+def _assert_read_as_argparse(parser, argv):
+    # argparse accepts the argv, and so does the fast reader, to the same
+    # namespace: a request the project runs never falls back to argparse
+    fast = _read_argv(argv)
+    assert fast is not None, argv
+    assert vars(fast) == vars(parser.parse_args(argv)), argv
+
+
 def test_benchmark_requests_parse(tmp_path, monkeypatch):
     # every argv the perfbench workloads send must parse, so removing a flag
     # they use fails here and not only in the benchmark
@@ -465,7 +477,7 @@ def test_benchmark_requests_parse(tmp_path, monkeypatch):
         requests = workload.build(tmp_path, 1)
         assert requests
         for req in requests:
-            parser.parse_args(list(req.argv))
+            _assert_read_as_argparse(parser, list(req.argv))
 
 
 def test_benchmark_tracing_targets_exist():
@@ -496,7 +508,7 @@ def test_documented_commands_parse():
         lines = [line.split("#")[0] for line in text.splitlines() if line.startswith("splitkit ")]
         assert lines
         for line in lines:
-            parser.parse_args(shlex.split(line)[1:])
+            _assert_read_as_argparse(parser, shlex.split(line)[1:])
 
 
 # per subcommand: a valid argv after the name, and one that lacks a required option
@@ -538,6 +550,73 @@ def test_one_subcommand_parser_reads_as_the_full_parser(capsys, monkeypatch, arg
     assert _outcome(capsys, argv) == one
     assert asked == [argv[0] if argv and argv[0] in _PARSE_CASES else None]
     assert one[0] in (0, 2)
+
+
+_PLAIN_ARGVS = [
+    argv
+    for name, (valid, _) in _PARSE_CASES.items()
+    for argv in ([name, *valid], [name, "--pretty", *valid])
+]
+
+
+@pytest.mark.parametrize("argv", _PLAIN_ARGVS, ids=" ".join)
+def test_one_subcommand_plain_request_builds_no_parser(capsys, monkeypatch, argv):
+    # a plain request is read off the option table alone; its outcome is
+    # the one argparse's reading of the same argv gives
+    import splitkit.cli as cli
+
+    asked = []
+    monkeypatch.setattr(cli, "build_parser", lambda only=None: asked.append(only) or build_parser(only))
+    fast = _outcome(capsys, argv)
+    assert asked == []
+    monkeypatch.setattr(cli, "_read_argv", lambda argv: None)
+    assert _outcome(capsys, argv) == fast
+    assert asked == [argv[0]]
+
+
+# hostile tokens: a negative number, an empty value, the end-of-options
+# marker, an attached value, an abbreviation, help, a non-ASCII digit and
+# an int with a leading space (both of which int() reads)
+_HOSTILE = ["-3", "", "--", "--field=q", "--bool", "-h", "\u0663", " 4"]
+_TABLE_TOKENS = sorted({*_SUBCOMMANDS, *(n for _, _, opts in _SUBCOMMANDS.values() for o in opts for n in o.names)})
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand and its own arguments, mostly well formed, with some repeats and foreign or hostile tokens."""
+    name = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    options = _SUBCOMMANDS[name][2]
+    sources = [opt for opt in options if opt.source]
+    chosen = [opt for opt in options if not opt.source and draw(st.integers(0, 9)) < (9 if opt.required else 4)]
+    chosen += [draw(st.sampled_from(sources)) for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2])) if sources else 0)]
+    if chosen and not draw(st.integers(0, 9)):
+        chosen.append(draw(st.sampled_from(chosen)))
+    argv = [name]
+    for opt in draw(st.permutations(chosen)):
+        if opt.names[0].startswith("-"):
+            argv.append(draw(st.sampled_from(opt.names)))
+        good = ["0", "2", "3", "12"] if opt.type is int else ["q", "gf2", "x.json", "3"]
+        for _ in range(opt.nargs):
+            argv.append(draw(st.sampled_from(good if draw(st.integers(0, 9)) else _HOSTILE)))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_TABLE_TOKENS + _HOSTILE)))
+    return argv
+
+
+_REFERENCE = build_parser()
+
+
+@settings(max_examples=1000, deadline=None, database=None)
+@seed(20091025)
+@given(_argvs())
+def test_read_argv_equals_argparse_or_declines(argv):
+    fast = _read_argv(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            ref = vars(_REFERENCE.parse_args(argv))
+    except SystemExit:  # help or a usage error: argparse alone answers those
+        ref = None
+    assert fast is None or vars(fast) == ref, (argv, fast, ref)
 
 
 def test_one_subcommand_parser_holds_one_subcommand(capsys):
@@ -656,10 +735,12 @@ def test_cli_import_loads_no_test_only_modules():
     assert "splitkit.cli" in loaded and "splitkit.calibration" not in loaded and "splitkit.fixtures" not in loaded
 
 
-def test_cli_start_up_loads_no_dataclasses_inspect_or_typing():
-    # every CLI request pays for what a fresh interpreter imports; `site`
-    # may have loaded some of these already, so only what the import and
-    # one request add to sys.modules counts
+def _start_up_modules(argv):
+    """(exit code, stdout, modules `import splitkit.cli` adds, modules `main(argv)` then adds) in a fresh interpreter.
+
+    `site` may have loaded some modules already, so only what the import
+    and the one request add to sys.modules counts.
+    """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = (
@@ -667,7 +748,7 @@ def test_cli_start_up_loads_no_dataclasses_inspect_or_typing():
         "before = set(sys.modules)\n"
         "import splitkit.cli\n"
         "imported = set(sys.modules) - before\n"
-        "code = splitkit.cli.main(['discrepancy', '--boolean', '3', '--field', 'q'])\n"
+        f"code = splitkit.cli.main({argv!r})\n"
         "ran = set(sys.modules) - before - imported\n"
         "print(code, file=sys.stderr)\n"
         "print(*sorted(imported), file=sys.stderr)\n"
@@ -675,10 +756,26 @@ def test_cli_start_up_loads_no_dataclasses_inspect_or_typing():
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
     code, imported, ran = (set(line.split()) for line in proc.stderr.splitlines())
-    assert code == {"0"} and json.loads(proc.stdout)["sides_agree"] and "splitkit.cli" in imported
+    return code, proc.stdout, imported, ran
+
+
+def test_cli_start_up_loads_no_dataclasses_inspect_or_typing():
+    # every CLI request pays for what a fresh interpreter imports
+    code, out, imported, ran = _start_up_modules(["discrepancy", "--boolean", "3", "--field", "q"])
+    assert code == {"0"} and json.loads(out)["sides_agree"] and "splitkit.cli" in imported
     heavy = {"dataclasses", "inspect", "typing"}
     assert not heavy & imported, sorted(imported)
     assert not heavy & ran, sorted(ran)
+
+
+def test_cli_plain_request_loads_no_argparse_gettext_or_locale():
+    # a plain request is read off the option table; argparse, and the
+    # gettext and locale modules its messages load, are for help and usage errors
+    code, out, imported, ran = _start_up_modules(["discrepancy", "--boolean", "3", "--field", "q"])
+    assert code == {"0"} and json.loads(out)["sides_agree"]
+    parsing = {"argparse", "gettext", "locale"}
+    assert not parsing & imported, sorted(imported)
+    assert not parsing & ran, sorted(ran)
 
 
 def test_reports_identical_across_processes_and_hash_seeds(tmp_path):

@@ -17,6 +17,7 @@ from splitkit.exactlinalg import (
     char_poly,
     parse_field,
 )
+from splitkit.ncfactor import RootSystem
 
 
 def sparse_rank(rows, field) -> int:
@@ -173,6 +174,26 @@ def test_matrix_power_and_trace():
 def test_matrix_power_refuses_a_negative_exponent():
     with pytest.raises(ValueError, match="^negative exponent -1$"):
         DenseMatrix([[2]]) ** -1
+
+
+def test_field_coercion_refuses_floats():
+    # a float's exact binary value (0.1 is 3602879701896397/2**55) is never
+    # the number meant, so no coercion into Q or GF(p) reads one
+    for field in (RATIONALS, GF2):
+        for value in (0.1, 0.5, 1.0):
+            with pytest.raises(TypeError, match=re.escape(repr(value))):
+                field.of(value)
+        assert field.of(Fraction(1, 3)) == field.of("1/3") and field.of(3) == field.of("3")
+    with pytest.raises(TypeError, match="0.1"):
+        DenseMatrix([[0.1]])
+    with pytest.raises(TypeError, match="0.5"):
+        DenseMatrix([[1]]).scale(0.5)
+    with pytest.raises(TypeError, match="2.0"):
+        annihilator_basis([{0: 2.0}], 1, GF2)
+    with pytest.raises(TypeError, match="0.1"):
+        RootSystem.from_scalars([0.1, 2])
+    with pytest.raises(TypeError, match="0.5"):
+        RootSystem.from_entries([[[0.5]], [[1]]])
 
 
 def test_char_poly_companion():
