@@ -366,15 +366,8 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser(only: str | None = None):
-    """The argparse parser, with every subcommand or with `only` that one.
-
-    A request that names its subcommand first needs no other subparser.
-    The one-subcommand parser lists every name in its usage line, so an
-    "unrecognized arguments" error reads the same as from the full one;
-    the full parser keeps argparse's own metavar, which also names `cmd`
-    in its "required" and "invalid choice" errors.
-    """
+def build_parser():
+    """The argparse parser, built from `_SUBCOMMANDS`."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -382,22 +375,20 @@ def build_parser(only: str | None = None):
         description="Exact computations on layered graphs, their algebras, and matrix-polynomial factorizations.",
     )
     parser.add_argument("--version", action="version", version=f"splitkit {__version__}")
-    metavar = None if only is None else "{" + ",".join(_SUBCOMMANDS) + "}"
-    sub = parser.add_subparsers(dest="cmd", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="cmd", required=True)
     for name, (help_text, run, options) in _SUBCOMMANDS.items():
-        if only in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            group = None
-            for opt in options:
-                if opt.source and group is None:
-                    group = p.add_mutually_exclusive_group(required=True)
-                kwargs = {"action": "store_true"} if opt.type is None else {"type": opt.type, "metavar": opt.metavar}
-                if opt.nargs > 1:
-                    kwargs["nargs"] = opt.nargs
-                if opt.required:
-                    kwargs["required"] = True
-                (group if opt.source else p).add_argument(*opt.names, help=opt.help, **kwargs)
-            p.set_defaults(run=run)
+        p = sub.add_parser(name, help=help_text)
+        group = None
+        for opt in options:
+            if opt.source and group is None:
+                group = p.add_mutually_exclusive_group(required=True)
+            kwargs = {"action": "store_true"} if opt.type is None else {"type": opt.type, "metavar": opt.metavar}
+            if opt.nargs > 1:
+                kwargs["nargs"] = opt.nargs
+            if opt.required:
+                kwargs["required"] = True
+            (group if opt.source else p).add_argument(*opt.names, help=opt.help, **kwargs)
+        p.set_defaults(run=run)
     return parser
 
 
@@ -453,7 +444,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read_argv(argv)
     if args is None:
-        args = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None).parse_args(argv)
+        args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
         inputs, payload, code = args.run(args)

@@ -23,9 +23,10 @@ from .exactlinalg import EchelonBasis, FieldSpec, annihilator_basis
 from .laygraph import LayeredGraph, require_path_cap, require_valid
 from .mobius import hilbert_series_inverse
 from .seriespoly import IntPolynomial, substitute_neg
+from .value import Value
 
 
-class QuadraticPresentation:
+class QuadraticPresentation(Value):
     """Generators plus a canonical (RREF) basis of the degree-2 relation space.
 
     Relation vectors live in the m^2-dimensional tensor square of the
@@ -36,16 +37,6 @@ class QuadraticPresentation:
     """
 
     __slots__ = ("generators", "relations", "field")
-
-    def __init__(self, generators: tuple, relations: tuple, field: FieldSpec):
-        self.generators = generators
-        self.relations = relations
-        self.field = field  # set last: the immutability guard keys on it
-
-    def __setattr__(self, name, value):
-        if hasattr(self, "field"):
-            raise AttributeError("QuadraticPresentation is immutable")
-        super().__setattr__(name, value)
 
     def __eq__(self, other):
         return (
@@ -237,29 +228,14 @@ def quadratic_dual(p: QuadraticPresentation) -> QuadraticPresentation:
     return QuadraticPresentation.make(tuple(f"{g}*" for g in p.generators), ann, p.field)
 
 
-class KoszulVerdict:
-    """Comparison of the two Hilbert polynomials that agree iff numerically Koszul."""
+class KoszulVerdict(Value):
+    """Comparison of the two Hilbert polynomials that agree iff numerically Koszul.
 
-    __slots__ = ("passes", "first_divergence_degree", "series_side", "algebra_side", "field")
+    `series_side` is the inverse Hilbert polynomial at -tau and
+    `algebra_side` the Hilbert polynomial of the vertex algebra.
+    """
 
-    def __init__(
-        self,
-        passes: bool,
-        first_divergence_degree: int | None,
-        series_side: IntPolynomial,
-        algebra_side: IntPolynomial,
-        field: FieldSpec,
-    ):
-        self.passes = passes
-        self.first_divergence_degree = first_divergence_degree
-        self.series_side = series_side  # inverse Hilbert polynomial at -tau
-        self.algebra_side = algebra_side  # Hilbert polynomial of the vertex algebra
-        self.field = field  # set last: the immutability guard keys on it
-
-    def __setattr__(self, name, value):
-        if hasattr(self, "field"):
-            raise AttributeError("KoszulVerdict is immutable")
-        super().__setattr__(name, value)
+    __slots__ = ("passes", "first_divergence_degree", "series_side", "algebra_side")
 
 
 def numerical_koszul_check(g: LayeredGraph, field: FieldSpec) -> KoszulVerdict:
@@ -277,7 +253,7 @@ def numerical_koszul_check(g: LayeredGraph, field: FieldSpec) -> KoszulVerdict:
         if series_side[k] != algebra_side[k]:
             first = k
             break
-    return KoszulVerdict(first is None, first, series_side, algebra_side, field)
+    return KoszulVerdict(first is None, first, series_side, algebra_side)
 
 
 def discrepancy_lhs_table(g: LayeredGraph, field: FieldSpec) -> list:

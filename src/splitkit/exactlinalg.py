@@ -21,6 +21,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .errors import SingularMatrix
+from .value import Value
 
 _WORD_LIMIT = 2**31  # single-word modular arithmetic only
 
@@ -38,7 +39,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-class FieldSpec:
+class FieldSpec(Value):
     """Field of scalars: rationals when `p` is None, else GF(p).
 
     Elements are plain values (Fraction / int), not wrapped objects; the
@@ -55,11 +56,6 @@ class FieldSpec:
             if p >= _WORD_LIMIT:
                 raise ValueError(f"modulus {p} exceeds 2^31 word limit")
         self.p = p
-
-    def __setattr__(self, name, value):
-        if hasattr(self, "p"):
-            raise AttributeError("FieldSpec is immutable")
-        super().__setattr__(name, value)
 
     def __eq__(self, other):
         return isinstance(other, FieldSpec) and self.p == other.p
@@ -262,16 +258,7 @@ class EchelonBasis:
         return [{c: Fraction(v, final[col][col]) for c, v in final[col].items()} for col in cols]
 
 
-def _fill(m, rows: int, cols: int, num: tuple, den: int):
-    """Set the slots of a new DenseMatrix, past its immutability guard."""
-    setattr_ = object.__setattr__
-    setattr_(m, "rows", rows)
-    setattr_(m, "cols", cols)
-    setattr_(m, "num", num)
-    setattr_(m, "den", den)
-
-
-class DenseMatrix:
+class DenseMatrix(Value):
     """Immutable dense rational matrix, held as one integer matrix.
 
     The matrix is `num` / `den`: `num` is a tuple of int tuples and `den`
@@ -296,7 +283,7 @@ class DenseMatrix:
         # the lcm of reduced denominators leaves the pair in lowest terms
         den = lcm(*(v.denominator for r in values for v in r))
         num = tuple(tuple(v.numerator * (den // v.denominator) for v in r) for r in values)
-        _fill(self, rows, cols, num, den)
+        super().__init__(rows, cols, num, den)
 
     @classmethod
     def _make(cls, num, den: int, shape) -> "DenseMatrix":
@@ -307,11 +294,13 @@ class DenseMatrix:
                 num = tuple(tuple(v // g for v in r) for r in num)
                 den //= g
         m = object.__new__(cls)
-        _fill(m, *shape, num, den)
+        # a new object has no slot set, and factorization makes thousands: skip Value's per-slot check
+        fill, (rows, cols) = object.__setattr__, shape
+        fill(m, "rows", rows)
+        fill(m, "cols", cols)
+        fill(m, "num", num)
+        fill(m, "den", den)
         return m
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DenseMatrix is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "DenseMatrix":

@@ -15,6 +15,7 @@ import json
 from .caps import PATH_CAP, VERTEX_CAP, size_cap
 from .errors import SizeLimit, ValidationError
 from .exactlinalg import FieldSpec
+from .value import Value
 
 MIN_ID = "∅"
 TOP_ID = "M"
@@ -49,8 +50,11 @@ def set_id(vertices) -> str:
     return "{" + ",".join(str(v) for v in vs) + "}"
 
 
-class LayeredGraph:
-    """Immutable layered graph: vertices with levels, one-step-down edges."""
+class LayeredGraph(Value):
+    """Immutable layered graph: vertices with levels, one-step-down edges.
+
+    `descendants` fills `_desc` on first use.
+    """
 
     __slots__ = ("vertices", "edges", "_level", "_out", "_in", "height", "_desc")
 
@@ -83,12 +87,6 @@ class LayeredGraph:
             inc[h].append(t)
         self._out = {v: tuple(sorted(ws)) for v, ws in out.items()}
         self._in = {v: tuple(sorted(ws)) for v, ws in inc.items()}
-        self._desc = None
-
-    def __setattr__(self, name, value):
-        if hasattr(self, "_in") and name != "_desc":
-            raise AttributeError("LayeredGraph is immutable")
-        super().__setattr__(name, value)
 
     def level(self, v: str) -> int:
         return self._level[v]
@@ -118,16 +116,19 @@ class LayeredGraph:
 
     def descendants(self) -> dict:
         """Map v -> frozenset of vertices strictly below v (path order)."""
-        if self._desc is None:
-            desc = {}
-            for v, _ in self.vertices:  # sorted by level, so children first
-                acc = set()
-                for w in self._out[v]:
-                    acc.add(w)
-                    acc |= desc[w]
-                desc[v] = frozenset(acc)
-            self._desc = desc
-        return self._desc
+        try:
+            return self._desc
+        except AttributeError:
+            pass
+        desc = {}
+        for v, _ in self.vertices:  # sorted by level, so children first
+            acc = set()
+            for w in self._out[v]:
+                acc.add(w)
+                acc |= desc[w]
+            desc[v] = frozenset(acc)
+        self._desc = desc
+        return desc
 
     def less_than(self, w: str, v: str) -> bool:
         """w < v in the partial order (a directed path from v to w)."""
@@ -154,18 +155,13 @@ class LayeredGraph:
         return f"LayeredGraph({len(self.vertices)} vertices, {len(self.edges)} edges, height {self.height})"
 
 
-class ValidationReport:
-    """The layered-graph axioms and the unique minimum that a graph breaks, as messages."""
+class ValidationReport(Value):
+    """The layered-graph axioms and the unique minimum that a graph breaks, as messages.
+
+    `violations` is a tuple of messages, empty when the graph is valid.
+    """
 
     __slots__ = ("violations",)
-
-    def __init__(self, violations: tuple):
-        self.violations = violations
-
-    def __setattr__(self, name, value):
-        if hasattr(self, "violations"):
-            raise AttributeError("ValidationReport is immutable")
-        super().__setattr__(name, value)
 
     @property
     def ok(self) -> bool:
@@ -293,7 +289,7 @@ def subspace_graph(n: int, q: int) -> LayeredGraph:
     return LayeredGraph(vertices, edges)
 
 
-class SimplicialComplex:
+class SimplicialComplex(Value):
     """Finite abstract simplicial complex given by its facets.
 
     Vertices are ints.  An empty facet list denotes the empty complex
@@ -316,39 +312,38 @@ class SimplicialComplex:
         for n, fs in by_size.items():
             larger = [g for m, gs in by_size.items() if m > n for g in gs]
             maximal += [f for f in fs if not any(f < g for g in larger)]
-        self.dim = max(by_size, default=0) - 1  # before facets, which the immutability guard keys on
+        self.dim = max(by_size, default=0) - 1
         self.facets = tuple(sorted(tuple(sorted(f)) for f in maximal))
-        self._faces = None
-        self._star = None
-
-    def __setattr__(self, name, value):
-        if hasattr(self, "facets") and name not in ("_faces", "_star"):
-            raise AttributeError("SimplicialComplex is immutable")
-        super().__setattr__(name, value)
 
     def is_empty(self) -> bool:
         return not self.facets
 
     @property
     def faces(self) -> tuple:
-        if self._faces is None:
-            rows = [set() for _ in range(self.dim + 1)]
-            for f in self.facets:
-                for k in range(len(f)):
-                    rows[k].update(itertools.combinations(f, k + 1))
-            self._faces = tuple(tuple(sorted(row)) for row in rows)
-        return self._faces
+        try:
+            return self._faces
+        except AttributeError:
+            pass
+        rows = [set() for _ in range(self.dim + 1)]
+        for f in self.facets:
+            for k in range(len(f)):
+                rows[k].update(itertools.combinations(f, k + 1))
+        self._faces = faces = tuple(tuple(sorted(row)) for row in rows)
+        return faces
 
     @property
     def star(self) -> dict:
         """Vertex -> the facets that hold it, in facet order."""
-        if self._star is None:
-            star = {}
-            for f in self.facets:
-                for v in f:
-                    star.setdefault(v, []).append(f)
-            self._star = star
-        return self._star
+        try:
+            return self._star
+        except AttributeError:
+            pass
+        star = {}
+        for f in self.facets:
+            for v in f:
+                star.setdefault(v, []).append(f)
+        self._star = star
+        return star
 
     def f_vector(self) -> list:
         return [len(row) for row in self.faces]

@@ -28,12 +28,16 @@ from math import lcm
 
 from .errors import GenericityFailure, SingularMatrix
 from .exactlinalg import DenseMatrix
+from .value import Value
 
 GENERIC_TRIES = 200  # random draws random_generic_roots makes before giving up
 
 
-class RootSystem:
-    """n square rational matrices of a common size d, playing the roots."""
+class RootSystem(Value):
+    """n square rational matrices of a common size d, playing the roots.
+
+    `table` fills `_table` on first use.
+    """
 
     __slots__ = ("roots", "_table")
 
@@ -45,13 +49,7 @@ class RootSystem:
         for m in roots:
             if not isinstance(m, DenseMatrix) or m.rows != m.cols or m.rows != d:
                 raise ValueError("roots must be square matrices of a common size")
-        self._table = None  # before roots, which the immutability guard keys on
         self.roots = roots
-
-    def __setattr__(self, name, value):
-        if hasattr(self, "roots") and name != "_table":
-            raise AttributeError("RootSystem is immutable")
-        super().__setattr__(name, value)
 
     @property
     def n(self) -> int:
@@ -68,9 +66,12 @@ class RootSystem:
     @property
     def table(self) -> "PseudoRootTable":
         """The one pseudo-root table of this system, filled on demand."""
-        if self._table is None:
-            self._table = PseudoRootTable(self)
-        return self._table
+        try:
+            return self._table
+        except AttributeError:
+            pass
+        self._table = table = PseudoRootTable(self)
+        return table
 
     @classmethod
     def from_scalars(cls, values) -> "RootSystem":
@@ -143,20 +144,14 @@ class PseudoRootTable:
         return dict(self._cache)
 
 
-class GenericityReport:
-    """Singular configurations found while probing a root system."""
+class GenericityReport(Value):
+    """Singular configurations found while probing a root system.
+
+    `singular_vandermondes` holds the index subsets with singular W, and
+    `singular_transforms` the (A, i) pairs with singular w.
+    """
 
     __slots__ = ("singular_vandermondes", "singular_transforms")
-
-    def __init__(self, singular_vandermondes: tuple, singular_transforms: tuple):
-        self.singular_vandermondes = singular_vandermondes  # index subsets with singular W
-        # (A, i) pairs with singular w; set last: the immutability guard keys on it
-        self.singular_transforms = singular_transforms
-
-    def __setattr__(self, name, value):
-        if hasattr(self, "singular_transforms"):
-            raise AttributeError("GenericityReport is immutable")
-        super().__setattr__(name, value)
 
     @property
     def generic(self) -> bool:
@@ -203,18 +198,13 @@ def genericity_check(rs: RootSystem) -> GenericityReport:
     return GenericityReport(tuple(bad_w), tuple(bad_t))
 
 
-class MatrixPolynomial:
+class MatrixPolynomial(Value):
     """Monic matrix polynomial t^n + a_1 t^(n-1) + ... + a_n (a_k stored 1-indexed)."""
 
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: tuple = ()):
         self.coefficients = coefficients
-
-    def __setattr__(self, name, value):
-        if hasattr(self, "coefficients"):
-            raise AttributeError("MatrixPolynomial is immutable")
-        super().__setattr__(name, value)
 
     def __eq__(self, other):
         return isinstance(other, MatrixPolynomial) and self.coefficients == other.coefficients
@@ -275,22 +265,15 @@ def expand_factorization(rs: RootSystem, ordering) -> MatrixPolynomial:
     return MatrixPolynomial(tuple(coeffs[1:]))
 
 
-class OrderingCheck:
-    """Outcome of comparing the factorizations over all n! orderings."""
+class OrderingCheck(Value):
+    """Outcome of comparing the factorizations over all n! orderings.
+
+    `polynomial` is the common MatrixPolynomial when `passed`, else None;
+    `mismatched` holds the orderings whose coefficients differ from the
+    first one's.
+    """
 
     __slots__ = ("passed", "polynomial", "orderings", "mismatched")
-
-    def __init__(self, passed: bool, polynomial: MatrixPolynomial | None, orderings: tuple, mismatched: tuple):
-        self.passed = passed
-        self.polynomial = polynomial
-        self.orderings = orderings
-        # orderings whose coefficients differ from the first; set last: the immutability guard keys on it
-        self.mismatched = mismatched
-
-    def __setattr__(self, name, value):
-        if hasattr(self, "mismatched"):
-            raise AttributeError("OrderingCheck is immutable")
-        super().__setattr__(name, value)
 
 
 def check_all_orderings(rs: RootSystem) -> OrderingCheck:
@@ -336,32 +319,17 @@ def vandermonde_polynomial(rs: RootSystem) -> MatrixPolynomial:
     return MatrixPolynomial(tuple(DenseMatrix._make(b, row.den, (d, d)) for b in blocks))
 
 
-class DiamondCheck:
-    """Outcome of the exchange identities on every diamond, against the Vandermonde side."""
+class DiamondCheck(Value):
+    """Outcome of the exchange identities on every diamond, against the Vandermonde side.
+
+    `polynomial` is the polynomial along the identity ordering when
+    `passed`, else None; `diamonds` counts the diamonds checked, and
+    `failed` lists the (A, i, j) that fail, A sorted, in enumeration
+    order.  `mismatched` is as in OrderingCheck, enumerated only when a
+    diamond fails.
+    """
 
     __slots__ = ("passed", "polynomial", "diamonds", "failed", "vandermonde_agrees", "mismatched")
-
-    def __init__(
-        self,
-        passed: bool,
-        polynomial: MatrixPolynomial | None,
-        diamonds: int,
-        failed: tuple,
-        vandermonde_agrees: bool,
-        mismatched: tuple,
-    ):
-        self.passed = passed
-        self.polynomial = polynomial  # along the identity ordering, when passed
-        self.diamonds = diamonds
-        self.failed = failed  # (A, i, j) with A sorted, in enumeration order
-        self.vandermonde_agrees = vandermonde_agrees
-        # as in OrderingCheck, enumerated only when a diamond fails; set last: the immutability guard keys on it
-        self.mismatched = mismatched
-
-    def __setattr__(self, name, value):
-        if hasattr(self, "mismatched"):
-            raise AttributeError("DiamondCheck is immutable")
-        super().__setattr__(name, value)
 
 
 def check_diamonds(rs: RootSystem) -> DiamondCheck:

@@ -7,9 +7,10 @@ Polynomials trim trailing zeros; series carry a fixed truncation degree.
 import sys
 
 from .errors import NonUnitConstantTerm, SizeLimit, TruncationMismatch
+from .value import Value
 
 
-class IntPolynomial:
+class IntPolynomial(Value):
     """Polynomial with integer coefficients; coeffs[k] multiplies tau^k."""
 
     __slots__ = ("coeffs",)
@@ -88,7 +89,7 @@ class IntPolynomial:
         return "IntPolynomial(" + " + ".join(terms) + ")"
 
 
-class TruncatedSeries:
+class TruncatedSeries(Value):
     """Power series known up to a truncation degree D; coeffs has length D+1."""
 
     __slots__ = ("coeffs",)

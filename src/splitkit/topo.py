@@ -23,6 +23,7 @@ paths, and its Delta(v, k) are the stages of its filtration by depth.
 from .errors import FaceNotInComplex, HypothesisViolation
 from .exactlinalg import EchelonBasis, FieldSpec
 from .laygraph import LayeredGraph, SimplicialComplex, _codim1_reached, is_pure, require_path_cap, require_valid
+from .value import Value
 
 
 def boundary_columns(x: SimplicialComplex) -> list:
@@ -152,22 +153,14 @@ def local_homology_vanishes(x: SimplicialComplex, field: FieldSpec) -> bool:
     return True
 
 
-class KoszulityPrediction:
-    """Outcome of the homological Koszulity criteria for a pure complex."""
+class KoszulityPrediction(Value):
+    """Outcome of the homological Koszulity criteria for a pure complex.
 
-    __slots__ = ("passes", "low_homology_vanishes", "local_homology_ok", "n", "field")
+    `low_homology_vanishes` says reduced H_i(X) = 0 for i < n, the
+    dimension of X.
+    """
 
-    def __init__(self, passes: bool, low_homology_vanishes: bool, local_homology_ok: bool, n: int, field: FieldSpec):
-        self.passes = passes
-        self.low_homology_vanishes = low_homology_vanishes  # reduced H_i(X) = 0 for i < n
-        self.local_homology_ok = local_homology_ok
-        self.n = n
-        self.field = field  # set last: the immutability guard keys on it
-
-    def __setattr__(self, name, value):
-        if hasattr(self, "field"):
-            raise AttributeError("KoszulityPrediction is immutable")
-        super().__setattr__(name, value)
+    __slots__ = ("passes", "low_homology_vanishes", "local_homology_ok", "n")
 
 
 def predict_koszulity(x: SimplicialComplex, field: FieldSpec) -> KoszulityPrediction:
@@ -198,7 +191,7 @@ def _koszulity(
         )
     low = not any(reduced[:n])
     local = local_homology_vanishes(x, field)
-    return KoszulityPrediction(low and local, low, local, n, field)
+    return KoszulityPrediction(low and local, low, local, n)
 
 
 def _down_paths(g: LayeredGraph, rank: dict, v: str, k: int) -> list:

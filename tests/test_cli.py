@@ -540,16 +540,18 @@ def _outcome(capsys, argv):
 
 @pytest.mark.parametrize("argv", _PARSER_ARGVS, ids=" ".join)
 def test_one_subcommand_parser_reads_as_the_full_parser(capsys, monkeypatch, argv):
-    # main builds only the subparser argv[0] names; its help, usage errors
-    # and exit codes must match those of the parser with every subcommand
+    # main answers help and usage errors with the one full parser, built
+    # once: its output and exit code are argparse's own
     import splitkit.cli as cli
 
-    asked = []
-    one = _outcome(capsys, argv)
-    monkeypatch.setattr(cli, "build_parser", lambda only=None: asked.append(only) or build_parser())
-    assert _outcome(capsys, argv) == one
-    assert asked == [argv[0] if argv and argv[0] in _PARSE_CASES else None]
-    assert one[0] in (0, 2)
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    got = _outcome(capsys, argv)
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    out = capsys.readouterr()
+    assert got == (exc.value.code, out.out, out.err)
+    assert built == [1] and got[0] in (0, 2)
 
 
 _PLAIN_ARGVS = [
@@ -565,13 +567,13 @@ def test_one_subcommand_plain_request_builds_no_parser(capsys, monkeypatch, argv
     # the one argparse's reading of the same argv gives
     import splitkit.cli as cli
 
-    asked = []
-    monkeypatch.setattr(cli, "build_parser", lambda only=None: asked.append(only) or build_parser(only))
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
     fast = _outcome(capsys, argv)
-    assert asked == []
+    assert built == []
     monkeypatch.setattr(cli, "_read_argv", lambda argv: None)
     assert _outcome(capsys, argv) == fast
-    assert asked == [argv[0]]
+    assert built == [1]
 
 
 # hostile tokens: a negative number, an empty value, the end-of-options
@@ -617,15 +619,6 @@ def test_read_argv_equals_argparse_or_declines(argv):
     except SystemExit:  # help or a usage error: argparse alone answers those
         ref = None
     assert fast is None or vars(fast) == ref, (argv, fast, ref)
-
-
-def test_one_subcommand_parser_holds_one_subcommand(capsys):
-    one = build_parser("topology")
-    assert one.format_usage() == build_parser().format_usage()
-    assert one.parse_args(["topology", "--complex", "x.json", "--field", "q"]).cmd == "topology"
-    with pytest.raises(SystemExit):
-        one.parse_args(["graph", "--boolean", "2"])
-    assert "invalid choice: 'graph'" in capsys.readouterr().err
 
 
 def test_topology_ranks_the_complex_once(capsys, monkeypatch):

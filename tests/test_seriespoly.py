@@ -23,6 +23,14 @@ def test_polynomial_trims_trailing_zeros():
     assert P().degree == -1
 
 
+def test_polynomials_and_series_refuse_assignment_so_their_hashes_hold():
+    for value, other in ((P([1, 2]), (5,)), (S([1, 2]), (5, 0))):
+        held = {value}
+        with pytest.raises(AttributeError):
+            value.coeffs = other
+        assert value in held and value.coeffs == (1, 2)
+
+
 def test_series_mul_examples():
     assert series_mul(S([1, 1, 0]), S([1, -1, 0])) == S([1, 0, -1])
     a = S([3, -1, 4, 7])
