@@ -11,7 +11,6 @@ declines, which is help, usage errors and unusual spellings, so argparse
 alone prints every help text and usage error.
 """
 
-import hashlib
 import json
 import math
 import os
@@ -19,6 +18,16 @@ import sys
 import time
 from fractions import Fraction
 from types import SimpleNamespace
+
+# CPython's built-in SHA-256: `hashlib` would also map OpenSSL's
+# libcrypto into every request, for one short digest.
+try:
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10 and 3.11
+    except ImportError:  # an interpreter built without the built-in hashes
+        from hashlib import sha256
 
 from . import __version__
 from .caps import ORDERING_CAP, size_cap
@@ -62,7 +71,7 @@ _MATH_ERRORS = (
 
 
 def _digest(obj) -> str:
-    return hashlib.sha256(json.dumps(obj, sort_keys=True, ensure_ascii=False).encode()).hexdigest()[:16]
+    return sha256(json.dumps(obj, sort_keys=True, ensure_ascii=False).encode()).hexdigest()[:16]
 
 
 def _load_json(path: str):

@@ -1,4 +1,7 @@
+import ast
 import contextlib
+import functools
+import hashlib
 import importlib
 import importlib.util
 import io
@@ -16,7 +19,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from splitkit.cli import _SUBCOMMANDS, _parse_roots, _read_argv, build_parser, main
+from splitkit.cli import _SUBCOMMANDS, _digest, _parse_roots, _read_argv, build_parser, main
 from splitkit.dualalg import QuadraticPresentation
 from splitkit.laygraph import LayeredGraph, SimplicialComplex, subspace_graph
 from splitkit.mobius import hilbert_series_inverse
@@ -300,11 +303,16 @@ def test_factor_over_ordering_cap_is_usage_error(capsys, tmp_path, monkeypatch):
     assert err == "splitkit: 6 orderings exceeds cap 2\n"
 
 
+def _src_env():
+    """The environment for a fresh interpreter that imports this checkout's `src/splitkit`."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_closed_stdout_is_a_usage_error_without_traceback():
     # the reader is gone before the child writes: a closed pipe is no
     # mathematical verdict, so the exit code is 2, not 1
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _src_env()
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -720,8 +728,7 @@ def test_graph_out_writes_hat_file(capsys, tmp_path):
 
 
 def test_cli_import_loads_no_test_only_modules():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _src_env()
     probe = "import sys, splitkit.cli; print(*sorted(sys.modules))"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
     loaded = proc.stdout.split()
@@ -734,8 +741,7 @@ def _start_up_modules(argv):
     `site` may have loaded some modules already, so only what the import
     and the one request add to sys.modules counts.
     """
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _src_env()
     probe = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -752,23 +758,123 @@ def _start_up_modules(argv):
     return code, proc.stdout, imported, ran
 
 
+_BUILTIN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
+
+_START_UP_REQUESTS = [
+    (("discrepancy", "--boolean", "3", "--field", "q"), lambda rep: rep["sides_agree"]),
+    (("factor", str(_FIXTURES / "roots3.json")), lambda rep: rep["pass"]),
+]
+
+
+@functools.cache
+def _start_up_probe(argv):
+    return _start_up_modules(list(argv))
+
+
+def _assert_start_up_loads_none_of(banned):
+    for argv, passed in _START_UP_REQUESTS:
+        code, out, imported, ran = _start_up_probe(argv)
+        assert code == {"0"} and passed(json.loads(out)) and "splitkit.cli" in imported, argv
+        assert not banned & imported, (argv, sorted(imported))
+        assert not banned & ran, (argv, sorted(ran))
+
+
 def test_cli_start_up_loads_no_dataclasses_inspect_or_typing():
     # every CLI request pays for what a fresh interpreter imports
-    code, out, imported, ran = _start_up_modules(["discrepancy", "--boolean", "3", "--field", "q"])
-    assert code == {"0"} and json.loads(out)["sides_agree"] and "splitkit.cli" in imported
-    heavy = {"dataclasses", "inspect", "typing"}
-    assert not heavy & imported, sorted(imported)
-    assert not heavy & ran, sorted(ran)
+    _assert_start_up_loads_none_of({"dataclasses", "inspect", "typing"})
 
 
 def test_cli_plain_request_loads_no_argparse_gettext_or_locale():
     # a plain request is read off the option table; argparse, and the
     # gettext and locale modules its messages load, are for help and usage errors
-    code, out, imported, ran = _start_up_modules(["discrepancy", "--boolean", "3", "--field", "q"])
-    assert code == {"0"} and json.loads(out)["sides_agree"]
-    parsing = {"argparse", "gettext", "locale"}
-    assert not parsing & imported, sorted(imported)
-    assert not parsing & ran, sorted(ran)
+    _assert_start_up_loads_none_of({"argparse", "gettext", "locale"})
+
+
+@pytest.mark.skipif(not _BUILTIN_SHA256, reason="interpreter has neither _sha2 nor _sha256")
+def test_cli_start_up_loads_no_hashlib_or_openssl():
+    # the digest comes from CPython's built-in SHA-256; hashlib would map OpenSSL
+    _assert_start_up_loads_none_of({"hashlib", "_hashlib", "_blake2", "ssl"})
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {},
+        {"source": "boolean", "n": 3},
+        {"source": "graph", "graph": {"vertices": [{"id": "∅", "level": 0}, {"id": "⟨110⟩", "level": 1}]}},
+        {"z": [1, "a"], "a": {"é": None, "b": True}},
+        ["∅", "⟨110⟩", 0, -1],
+    ],
+)
+def test_digest_is_a_truncated_sha256_of_sorted_json(obj):
+    text = json.dumps(obj, sort_keys=True, ensure_ascii=False)
+    assert _digest(obj) == hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+_PINNED_DIGESTS = {
+    ("mobius", "--boolean", "3"): "016b2c213b6f4f4c",
+    ("mobius", "--graph", str(_FIXTURES / "boolean2.json")): "4b5d916657f1eef4",
+    ("factor", str(_FIXTURES / "roots3.json")): "50fbb6837a6742aa",
+}
+
+
+def test_reports_keep_their_digests(capsys):
+    for argv, digest in _PINNED_DIGESTS.items():
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["inputs"]["digest"] == digest, argv
+
+
+def test_digest_falls_back_to_hashlib_without_builtin_hashes():
+    # an interpreter built without CPython's built-in hashes has only hashlib
+    env = _src_env()
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "import splitkit.cli\n"
+        "print('hashlib' in sys.modules)\n"
+        f"for argv in {list(map(list, _PINNED_DIGESTS))!r}:\n"
+        "    buf = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf):\n"
+        "        splitkit.cli.main(argv)\n"
+        "    print(json.loads(buf.getvalue())['inputs']['digest'])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.split() == ["True", *_PINNED_DIGESTS.values()]
+
+
+def _imports_outside(tree, allowed):
+    """(module, line) of every absolute import in `tree` that no node in `allowed` holds."""
+    inside = {id(node) for scope in allowed for node in ast.walk(scope)}
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Import):
+            yield from ((alias.name, node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module, node.lineno
+
+
+def test_package_imports_only_the_standard_library():
+    # pyproject.toml declares `dependencies = []`; hashlib loads OpenSSL and
+    # argparse its message catalogues, so each stays where it is needed
+    import splitkit
+
+    builtin_hashes = {"_sha2", "_sha256"}
+    for path in sorted(Path(splitkit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for module, line in _imports_outside(tree, []):
+            top = module.partition(".")[0]
+            assert top in sys.stdlib_module_names or top in builtin_hashes, (path.name, line, module)
+        fallbacks = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ExceptHandler) and isinstance(node.type, ast.Name) and node.type.id == "ImportError"
+        ]
+        parsers = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "build_parser"]
+        for module, line in _imports_outside(tree, fallbacks):
+            assert module != "hashlib", (path.name, line)
+        for module, line in _imports_outside(tree, [stmt for fn in parsers for stmt in fn.body]):
+            assert module != "argparse", (path.name, line)
 
 
 def test_reports_identical_across_processes_and_hash_seeds(tmp_path):
