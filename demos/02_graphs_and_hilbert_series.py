@@ -3,8 +3,11 @@
 
 Each layered graph with a unique minimum carries an edge algebra whose
 Hilbert series is controlled by the graded Möbius polynomial of the
-graph's poset:  H(τ) = (1 − τ) / (1 − τ·M(Γ,τ)).  For the subset
-lattice the series has the closed form (1 − τ) / (1 − τ(2 − τ)^n),
+graph's poset:  H(τ) = (1 − τ) / (1 − τ·M(Γ,τ)).  Its inverse
+(1 − τ·M) / (1 − τ) is an exact polynomial with constant term 1, so
+`hilbert_series` returns the series as that polynomial's power-series
+reciprocal, a tuple of D + 1 ints, together with the polynomial.  For the
+subset lattice the series has the closed form (1 − τ) / (1 − τ(2 − τ)^n),
 which doubles as an independent oracle.
 """
 
@@ -12,7 +15,6 @@ from splitkit import (
     boolean_graph,
     graded_mobius,
     hilbert_series,
-    hilbert_series_inverse,
     is_uniform,
     mobius_value,
     subset_lattice_series,
@@ -25,11 +27,11 @@ print("== Subset lattices")
 for n in range(1, 5):
     g = boolean_graph(n)
     m = graded_mobius(g)
-    series = hilbert_series(g, 6)
+    series, inverse = hilbert_series(g, 6)
     oracle = subset_lattice_series(n, 6)
-    print(f"n={n}: M = {list(m.coeffs)} = (2-τ)^{n}")
-    print(f"     H to degree 6: {list(series.coeffs)}  closed form agrees: {series == oracle}")
-    print(f"     H^-1 = {list(hilbert_series_inverse(g).coeffs)} (degree = height = {g.height})")
+    print(f"n={n}: M = {list(m)} = (2-τ)^{n}")
+    print(f"     H to degree 6: {list(series)}  closed form agrees: {series == oracle}")
+    print(f"     H^-1 = {list(inverse)} (degree = height = {g.height})")
 print()
 
 print("== Möbius values on the diamond (n = 2)")
@@ -42,9 +44,10 @@ print("== Subspace lattice of GF(2)^3 (the q-analogue)")
 g = subspace_graph(3, 2)
 print("level sizes:", [len(g.level_vertices(i)) for i in range(4)], "(Gaussian binomials 1,7,7,1)")
 print("valid:", validate(g).ok, " uniform:", is_uniform(g))
-print("M =", list(graded_mobius(g).coeffs))
-print("H to degree 6:", list(hilbert_series(g, 6).coeffs))
-print("H^-1 =", list(hilbert_series_inverse(g).coeffs))
+series, inverse = hilbert_series(g, 6)
+print("M =", list(graded_mobius(g)))
+print("H to degree 6:", list(series))
+print("H^-1 =", list(inverse))
 print()
 
 print("== Uniformity: when the edge algebra is quadratic")

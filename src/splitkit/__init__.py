@@ -17,13 +17,11 @@ from .errors import (
     GenericityFailure,
     HypothesisViolation,
     NegativeDimension,
-    NonUnitConstantTerm,
     NonzeroRemainder,
     ParseError,
     SingularMatrix,
     SizeLimit,
     SplitkitError,
-    TruncationMismatch,
     ValidationError,
 )
 from .exactlinalg import (
@@ -74,10 +72,8 @@ from .ncfactor import (
 )
 from .seriespoly import (
     IntPolynomial,
-    TruncatedSeries,
     poly_divide,
-    series_inverse,
-    series_mul,
+    series_reciprocal,
     substitute_neg,
 )
 from .topo import (

@@ -57,7 +57,7 @@ from .laygraph import (
     subspace_graph,
     validate,
 )
-from .mobius import graded_mobius, hilbert_series_and_inverse
+from .mobius import graded_mobius, hilbert_series
 from .ncfactor import RootSystem, check_diamonds, genericity_check
 from .seriespoly import coeffs_as_strings
 from .topo import _koszulity, betti, discrepancy_rhs_table, euler_characteristic
@@ -149,9 +149,9 @@ def _cmd_mobius(args) -> tuple:
 
 def _cmd_hilbert(args) -> tuple:
     g, _, desc = _build_graph(args)
-    series, inv = hilbert_series_and_inverse(g, args.degree)
+    series, inv = hilbert_series(g, args.degree)
     payload = {
-        "truncation": series.truncation,
+        "truncation": len(series) - 1,
         "series": coeffs_as_strings(series),
         "inverse_polynomial": coeffs_as_strings(inv),
         "inverse_degree": inv.degree,

@@ -9,14 +9,6 @@ class SingularMatrix(SplitkitError):
     """A square matrix required to be invertible has rank < dimension."""
 
 
-class TruncationMismatch(SplitkitError):
-    """Two truncated series with different truncation degrees were combined."""
-
-
-class NonUnitConstantTerm(SplitkitError):
-    """Series inversion needs constant term +1 or -1."""
-
-
 class GenericityFailure(SplitkitError):
     """A block Vandermonde matrix or quasideterminant is singular.
 

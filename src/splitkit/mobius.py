@@ -8,7 +8,7 @@ sum without them contradicts the closed-form oracle already at height 1.
 from .caps import PAIR_CAP, TRUNCATION_CAP, size_cap
 from .errors import NegativeDimension, NonzeroRemainder, SizeLimit
 from .laygraph import LayeredGraph, require_valid
-from .seriespoly import IntPolynomial, TruncatedSeries, poly_divide, series_inverse, series_mul
+from .seriespoly import IntPolynomial, poly_divide, series_reciprocal
 
 
 def mobius_value(g: LayeredGraph, v: str, w: str) -> int:
@@ -62,57 +62,6 @@ def graded_mobius(g: LayeredGraph) -> IntPolynomial:
     return IntPolynomial(coeffs)
 
 
-def _one_minus_tau_m(g: LayeredGraph) -> IntPolynomial:
-    return IntPolynomial([1]) - graded_mobius(g).shift(1)
-
-
-def hilbert_series(g: LayeredGraph, truncation: int | None = None) -> TruncatedSeries:
-    """Hilbert series of the graph's edge algebra, to a truncation degree.
-
-    The truncation defaults to twice the height; one above the
-    truncation cap raises SizeLimit, a negative one ValueError, before
-    any series is built.  Computed as (1 - tau) / (1 - tau * M(tau)).
-    Coefficients are graded dimensions, so any negative value is a
-    convention bug and raises.
-    """
-    require_valid(g)
-    d = _truncation(g, truncation)
-    return _series(_one_minus_tau_m(g), d)
-
-
-def _truncation(g: LayeredGraph, truncation: int | None) -> int:
-    d = 2 * g.height if truncation is None else truncation
-    cap = size_cap(TRUNCATION_CAP)
-    if d > cap:
-        raise SizeLimit(f"truncation degree {d} exceeds cap {cap}")
-    if d < 0:
-        raise ValueError(f"truncation degree {d} is negative")
-    return d
-
-
-def _series(num: IntPolynomial, d: int) -> TruncatedSeries:
-    series = series_mul(IntPolynomial([1, -1]).to_series(d), series_inverse(num.to_series(d)))
-    for k, c in enumerate(series.coeffs):
-        if c < 0:
-            raise NegativeDimension(f"coefficient {c} at degree {k}")
-    return series
-
-
-def subset_lattice_series(n: int, truncation: int) -> TruncatedSeries:
-    """Closed-form series (1 - tau) / (1 - tau (2 - tau)^n), truncated.
-
-    Independent oracle for hilbert_series on the subset-lattice graph.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    denom = IntPolynomial([1]) - (IntPolynomial([2, -1]) ** n).shift(1)
-    series = series_mul(
-        IntPolynomial([1, -1]).to_series(truncation),
-        series_inverse(denom.to_series(truncation)),
-    )
-    return series
-
-
 def hilbert_series_inverse(g: LayeredGraph) -> IntPolynomial:
     """The inverse Hilbert series (1 - tau*M) / (1 - tau), as an exact polynomial.
 
@@ -122,23 +71,45 @@ def hilbert_series_inverse(g: LayeredGraph) -> IntPolynomial:
     vanishes e.g. for the one-vertex completion of the face poset of a
     complex whose order complex has zero reduced Euler characteristic.
     """
-    require_valid(g)
-    return _inverse(_one_minus_tau_m(g))
-
-
-def _inverse(num: IntPolynomial) -> IntPolynomial:
+    num = IntPolynomial([1]) - graded_mobius(g).shift(1)  # graded_mobius validates g
     quotient, remainder = poly_divide(num, IntPolynomial([1, -1]))
     if not remainder.is_zero():
         raise NonzeroRemainder(f"remainder {remainder!r} dividing {num!r} by (1 - tau)")
     return quotient
 
 
-def hilbert_series_and_inverse(g: LayeredGraph, truncation: int | None = None) -> tuple:
-    """(hilbert_series(g, truncation), hilbert_series_inverse(g)) from one graded_mobius build.
+def hilbert_series(g: LayeredGraph, truncation: int | None = None) -> tuple:
+    """(series, inverse): the Hilbert series of the graph's edge algebra and its inverse.
 
-    Raises what the two calls in that order would raise.
+    The series is (1 - tau) / (1 - tau * M(tau)) to the truncation degree,
+    as truncation + 1 ints; the inverse is hilbert_series_inverse(g).  The
+    truncation defaults to twice the height; one above the truncation cap
+    raises SizeLimit, a negative one ValueError, before M is built.  The
+    inverse has constant term 1, so the series is its exact power-series
+    reciprocal.  Coefficients are graded dimensions, so any negative value
+    is a convention bug and raises.
     """
     require_valid(g)
-    d = _truncation(g, truncation)
-    num = _one_minus_tau_m(g)
-    return _series(num, d), _inverse(num)
+    d = 2 * g.height if truncation is None else truncation
+    cap = size_cap(TRUNCATION_CAP)
+    if d > cap:
+        raise SizeLimit(f"truncation degree {d} exceeds cap {cap}")
+    if d < 0:
+        raise ValueError(f"truncation degree {d} is negative")
+    inverse = hilbert_series_inverse(g)
+    series = series_reciprocal(inverse, d)
+    for k, c in enumerate(series):
+        if c < 0:
+            raise NegativeDimension(f"coefficient {c} at degree {k}")
+    return series, inverse
+
+
+def subset_lattice_series(n: int, truncation: int) -> tuple:
+    """Closed-form series (1 - tau) / (1 - tau (2 - tau)^n), truncated.
+
+    Independent oracle for hilbert_series on the subset-lattice graph.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    r = series_reciprocal(IntPolynomial([1]) - (IntPolynomial([2, -1]) ** n).shift(1), truncation)
+    return r[:1] + tuple(b - a for a, b in zip(r, r[1:]))

@@ -1,12 +1,13 @@
 """Integer polynomials and truncated power series.
 
 Coefficients are arbitrary-precision ints, stored ascending by degree.
-Polynomials trim trailing zeros; series carry a fixed truncation degree.
+Polynomials trim trailing zeros; a series truncated at degree D is a
+tuple of D + 1 ints, trailing zeros kept.
 """
 
 import sys
 
-from .errors import NonUnitConstantTerm, SizeLimit, TruncationMismatch
+from .errors import SizeLimit
 from .value import Value
 
 
@@ -31,9 +32,10 @@ class IntPolynomial(Value):
     def __getitem__(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
+    def __iter__(self):
+        return iter(self.coeffs)
+
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = IntPolynomial([other])
         return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
 
     def __hash__(self):
@@ -79,9 +81,6 @@ class IntPolynomial(Value):
             return self
         return IntPolynomial((0,) * k + self.coeffs)
 
-    def to_series(self, truncation: int) -> "TruncatedSeries":
-        return TruncatedSeries([self[k] for k in range(truncation + 1)])
-
     def __repr__(self):
         if self.is_zero():
             return "IntPolynomial(0)"
@@ -89,79 +88,21 @@ class IntPolynomial(Value):
         return "IntPolynomial(" + " + ".join(terms) + ")"
 
 
-class TruncatedSeries(Value):
-    """Power series known up to a truncation degree D; coeffs has length D+1."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        coeffs = tuple(int(c) for c in coeffs)
-        if not coeffs:
-            raise ValueError("series needs at least the degree-0 coefficient")
-        self.coeffs = coeffs
-
-    @property
-    def truncation(self) -> int:
-        return len(self.coeffs) - 1
-
-    @classmethod
-    def one(cls, truncation: int) -> "TruncatedSeries":
-        return cls([1] + [0] * truncation)
-
-    def __getitem__(self, k: int) -> int:
-        return self.coeffs[k]
-
-    def __eq__(self, other):
-        return isinstance(other, TruncatedSeries) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def _check(self, other):
-        if self.truncation != other.truncation:
-            raise TruncationMismatch(f"degrees {self.truncation} != {other.truncation}")
-
-    def __add__(self, other):
-        self._check(other)
-        return TruncatedSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        self._check(other)
-        return TruncatedSeries([a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __repr__(self):
-        return f"TruncatedSeries({list(self.coeffs)})"
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated at the common degree."""
-    a._check(b)
-    d = a.truncation
-    out = [0] * (d + 1)
-    for i, ca in enumerate(a.coeffs):
-        if not ca:
-            continue
-        for j in range(d + 1 - i):
-            cb = b.coeffs[j]
-            if cb:
-                out[i + j] += ca * cb
-    return TruncatedSeries(out)
-
-
-def series_inverse(a: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse up to the truncation degree.
+def series_reciprocal(p: IntPolynomial, truncation: int) -> tuple:
+    """The power series 1/p to degree `truncation`, as truncation + 1 ints.
 
     Needs constant term +-1 so the recursion stays in the integers.
     """
-    if a.coeffs[0] not in (1, -1):
-        raise NonUnitConstantTerm(f"constant term {a.coeffs[0]} is not a unit")
-    u = a.coeffs[0]
-    d = a.truncation
-    terms = [(j, c) for j, c in enumerate(a.coeffs) if j and c]
-    out = [u] + [0] * d
-    for k in range(1, d + 1):
+    if truncation < 0:
+        raise ValueError(f"truncation degree {truncation} is negative")
+    u = p[0]
+    if u not in (1, -1):
+        raise ValueError(f"constant term {u} is not a unit")
+    terms = [(j, c) for j, c in enumerate(p.coeffs) if j and c]
+    out = [u] + [0] * truncation
+    for k in range(1, truncation + 1):
         out[k] = -u * sum(c * out[k - j] for j, c in terms if j <= k)
-    return TruncatedSeries(out)
+    return tuple(out)
 
 
 def poly_divide(num: IntPolynomial, den: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
@@ -195,13 +136,13 @@ def substitute_neg(a: IntPolynomial) -> IntPolynomial:
 
 
 def coeffs_as_strings(a) -> list[str]:
-    """JSON rendering: decimal strings, degree 0 first.
+    """JSON rendering of a polynomial or a series tuple: decimal strings, degree 0 first.
 
     A coefficient past the interpreter's digit limit for integer-to-string
     conversion raises SizeLimit.
     """
     out = []
-    for k, c in enumerate(a.coeffs):
+    for k, c in enumerate(a):
         try:
             out.append(str(c))
         except ValueError as exc:

@@ -29,6 +29,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from chains import mobius_value_chain, order_complex
+from corpus import layered_graphs
 from discrepancy_rules import RULES, per_pair_table, plain_sum_table
 from path_words import path_word_hilbert
 from splitkit.dualalg import (
@@ -63,20 +64,6 @@ FIELDS = (RATIONALS, GF2, GF3)
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 GF5 = FieldSpec(5)
 SETTINGS = settings(max_examples=40, deadline=None, database=None)
-
-
-@st.composite
-def layered_graphs(draw, heights=(2, 5), widths=(1, 4)):
-    """Valid layered graphs: height 2-5, 1-4 vertices per level, non-empty child sets."""
-    height = draw(st.integers(*heights))
-    levels = [["m"]] + [[f"v{i}_{j}" for j in range(draw(st.integers(*widths)))] for i in range(1, height + 1)]
-    vertices = [(v, i) for i, level in enumerate(levels) for v in level]
-    edges = []
-    for i in range(1, height + 1):
-        for v in levels[i]:
-            children = draw(st.sets(st.sampled_from(levels[i - 1]), min_size=1))
-            edges += [(v, w) for w in sorted(children)]
-    return LayeredGraph(vertices, edges)
 
 
 @st.composite

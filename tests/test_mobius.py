@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import given, seed, settings
 
 from chains import mobius_value_chain
-from corpus import full_graph_corpus
+from corpus import full_graph_corpus, layered_graphs
 from splitkit.errors import SizeLimit
 from splitkit.fixtures import boundary_delta3, delta2, rp2_six, single_edge_graph
 from splitkit.laygraph import boolean_graph, complex_graph, hat
@@ -12,7 +13,7 @@ from splitkit.mobius import (
     mobius_value,
     subset_lattice_series,
 )
-from splitkit.seriespoly import IntPolynomial, poly_divide, series_inverse, series_mul
+from splitkit.seriespoly import IntPolynomial, poly_divide, series_reciprocal
 
 
 def test_mobius_table_pair_cap(monkeypatch):
@@ -77,14 +78,15 @@ def test_graded_mobius_constant_term_is_vertex_count():
 
 
 def test_hilbert_examples():
-    assert list(hilbert_series(boolean_graph(2), 3).coeffs) == [1, 3, 8, 21]
-    assert list(hilbert_series(boolean_graph(1), 3).coeffs) == [1, 1, 1, 1]
-    assert list(hilbert_series(single_edge_graph(), 5).coeffs) == [1] * 6
+    assert hilbert_series(boolean_graph(2), 3) == ((1, 3, 8, 21), IntPolynomial([1, -3, 1]))
+    assert hilbert_series(boolean_graph(1), 3)[0] == (1, 1, 1, 1)
+    assert hilbert_series(single_edge_graph(), 5)[0] == (1,) * 6
+    assert hilbert_series(boolean_graph(3)) == hilbert_series(boolean_graph(3), 6)  # twice the height
 
 
 def test_hilbert_matches_closed_form_oracle():
     for n in range(1, 5):
-        assert hilbert_series(boolean_graph(n), 8) == subset_lattice_series(n, 8)
+        assert hilbert_series(boolean_graph(n), 8)[0] == subset_lattice_series(n, 8)
 
 
 def test_qn_degree_one_coefficient_counts_nonempty_subsets():
@@ -98,16 +100,31 @@ def test_hilbert_inverse_examples():
     assert hilbert_series_inverse(boolean_graph(3)) == IntPolynomial([1, -7, 5, -1])
 
 
+def _check_series_definition(g, d):
+    # H * (1 - tau*M) = 1 - tau to degree d, with M read straight from
+    # graded_mobius rather than through the inverse polynomial
+    series, inverse = hilbert_series(g, d)
+    assert inverse == hilbert_series_inverse(g)
+    product = (IntPolynomial([1]) - graded_mobius(g).shift(1)) * IntPolynomial(series)
+    assert [product[k] for k in range(d + 1)] == [1, -1][: d + 1] + [0] * (d - 1)
+
+
 def test_hilbert_inverse_times_series_is_one():
     for _, g in full_graph_corpus():
-        d = 2 * g.height
-        inv = hilbert_series_inverse(g)
-        assert series_mul(hilbert_series(g, d), inv.to_series(d)) == IntPolynomial([1]).to_series(d)
+        for d in (0, 1, 2 * g.height):
+            _check_series_definition(g, d)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@seed(20090940)
+@given(layered_graphs(heights=(1, 6), widths=(1, 5)))
+def test_hilbert_series_meets_its_definition_on_random_graphs(g):
+    _check_series_definition(g, 2 * g.height)
 
 
 def test_hilbert_coefficients_nonnegative_on_corpus():
     for _, g in full_graph_corpus():
-        assert all(c >= 0 for c in hilbert_series(g, 2 * g.height).coeffs)
+        assert all(c >= 0 for c in hilbert_series(g)[0])
 
 
 def test_inverse_degree_equals_height_except_hatted_euler_trivial():
@@ -132,9 +149,9 @@ def test_strict_mobius_breaks_the_oracle():
     strict = graded_mobius(g) - IntPolynomial([len(g.vertices)])
     assert strict == IntPolynomial([0, -1])
     denom = IntPolynomial([1]) - strict.shift(1)
-    series = series_mul(IntPolynomial([1, -1]).to_series(3), series_inverse(denom.to_series(3)))
-    assert list(series.coeffs) == [1, -1, -1, 1]  # a negative graded dimension
-    assert series != subset_lattice_series(1, 3) == hilbert_series(g, 3)
+    series = IntPolynomial([1, -1]) * IntPolynomial(series_reciprocal(denom, 3))
+    assert list(series)[:4] == [1, -1, -1, 1]  # a negative graded dimension
+    assert subset_lattice_series(1, 3) == hilbert_series(g, 3)[0] == (1, 1, 1, 1)
     _, remainder = poly_divide(denom, IntPolynomial([1, -1]))
     assert not remainder.is_zero()  # no inverse Hilbert polynomial either
 

@@ -1,20 +1,19 @@
+import itertools
 import random
 
 import pytest
 
-from splitkit.errors import NonUnitConstantTerm, TruncationMismatch
-from splitkit.seriespoly import (
-    IntPolynomial,
-    TruncatedSeries,
-    coeffs_as_strings,
-    poly_divide,
-    series_inverse,
-    series_mul,
-    substitute_neg,
-)
+from splitkit.laygraph import boolean_graph
+from splitkit.mobius import graded_mobius
+from splitkit.seriespoly import IntPolynomial, coeffs_as_strings, poly_divide, series_reciprocal, substitute_neg
 
 P = IntPolynomial
-S = TruncatedSeries
+
+
+def _times_reciprocal(p: IntPolynomial, d: int) -> list:
+    """p * series_reciprocal(p, d), degrees 0..d, by the polynomial product."""
+    product = p * P(series_reciprocal(p, d))
+    return [product[k] for k in range(d + 1)]
 
 
 def test_polynomial_trims_trailing_zeros():
@@ -24,43 +23,57 @@ def test_polynomial_trims_trailing_zeros():
 
 
 def test_polynomials_and_series_refuse_assignment_so_their_hashes_hold():
-    for value, other in ((P([1, 2]), (5,)), (S([1, 2]), (5, 0))):
-        held = {value}
-        with pytest.raises(AttributeError):
-            value.coeffs = other
-        assert value in held and value.coeffs == (1, 2)
+    value = P([1, 2])
+    held = {value}
+    with pytest.raises(AttributeError):
+        value.coeffs = (5,)
+    assert value in held and value.coeffs == (1, 2)
+    series = series_reciprocal(value, 2)  # a plain tuple
+    with pytest.raises(TypeError):
+        series[0] = 5
+    assert series in {(1, -2, 4)}
 
 
-def test_series_mul_examples():
-    assert series_mul(S([1, 1, 0]), S([1, -1, 0])) == S([1, 0, -1])
-    a = S([3, -1, 4, 7])
-    assert series_mul(a, S.one(3)) == a
-    sq = series_mul(S([1, 1, 1]), S([1, 1, 1]))
-    assert sq == S([1, 2, 3])
+def test_iterating_a_polynomial_stops_at_its_top_coefficient():
+    # islice keeps a regression from hanging the suite
+    assert list(itertools.islice(P([1, -3, 1]), 10)) == [1, -3, 1]
+    assert list(itertools.islice(P(), 10)) == []
+    p = graded_mobius(boolean_graph(2))
+    assert list(itertools.islice(p, 10)) == [4, -4, 1]
+    assert IntPolynomial(p) == p
 
 
-def test_series_mul_truncation_mismatch():
-    with pytest.raises(TruncationMismatch):
-        series_mul(S([1, 1]), S([1, 1, 1]))
+def test_a_polynomial_never_equals_an_int():
+    # equal values must hash alike, and an int's hash is not its tuple's
+    assert P([5]) != 5 and 5 != P([5])
+    assert 5 not in {P([5])} and P() != 0
 
 
 def test_series_inverse_examples():
-    assert series_inverse(S.one(4)) == S.one(4)
-    assert series_inverse(S([1, -1, 0, 0])) == S([1, 1, 1, 1])
+    # series_reciprocal(p, D) is the inverse series 1/p to degree D
+    assert series_reciprocal(P([1]), 4) == (1, 0, 0, 0, 0)  # trailing zeros kept
+    assert series_reciprocal(P([1, -1]), 3) == (1, 1, 1, 1)
     # denominator of the height-2 closed form
-    assert series_inverse(S([1, -4, 4, -1])) == S([1, 4, 12, 33])
+    assert series_reciprocal(P([1, -4, 4, -1]), 3) == (1, 4, 12, 33)
     # sparse: only the degree-3 term is read
-    assert series_inverse(S([1, 0, 0, -1, 0, 0, 0, 0])) == S([1, 0, 0, 1, 0, 0, 1, 0])
+    assert series_reciprocal(P([1, 0, 0, -1]), 7) == (1, 0, 0, 1, 0, 0, 1, 0)
+    # terms above the truncation degree are never read
+    assert series_reciprocal(P([1, 2, 3, 4, 5]), 1) == (1, -2)
+    assert series_reciprocal(P([1, 9]), 0) == (1,)
 
 
 def test_series_inverse_needs_unit_constant():
-    with pytest.raises(NonUnitConstantTerm):
-        series_inverse(S([2, 1]))
+    for p in (P([2, 1]), P([0, 1]), P()):
+        with pytest.raises(ValueError, match="^constant term -?\\d+ is not a unit$"):
+            series_reciprocal(p, 3)
+    with pytest.raises(ValueError, match="^truncation degree -1 is negative$"):
+        series_reciprocal(P([1]), -1)
 
 
 def test_series_inverse_negative_unit():
-    a = S([-1, 5, 7])
-    assert series_mul(a, series_inverse(a)) == S.one(2)
+    a = P([-1, 5, 7])
+    assert series_reciprocal(a, 2) == (-1, -5, -32)
+    assert _times_reciprocal(a, 2) == [1, 0, 0]
 
 
 def test_poly_divide_examples():
@@ -96,9 +109,8 @@ def test_series_inverse_reconstruction_randomized():
     rng = random.Random(4)
     for _ in range(1000):
         d = rng.randint(0, 8)
-        coeffs = [rng.choice([1, -1])] + [rng.randint(-9, 9) for _ in range(d)]
-        a = S(coeffs)
-        assert series_mul(a, series_inverse(a)) == S.one(d)
+        a = P([rng.choice([1, -1])] + [rng.randint(-9, 9) for _ in range(rng.randint(0, 8))])
+        assert _times_reciprocal(a, d) == [1] + [0] * d
 
 
 def test_poly_divide_reconstruction_randomized():
@@ -128,5 +140,6 @@ def test_polynomial_power_refuses_a_negative_exponent():
 
 
 def test_poly_to_series_and_strings():
-    assert P([1, -3, 1]).to_series(4) == S([1, -3, 1, 0, 0])
     assert coeffs_as_strings(P([1, -3, 1])) == ["1", "-3", "1"]
+    assert coeffs_as_strings(series_reciprocal(P([1, -3, 1]), 4)) == ["1", "3", "8", "21", "55"]
+    assert coeffs_as_strings(series_reciprocal(P([1]), 3)) == ["1", "0", "0", "0"]

@@ -11,7 +11,7 @@ from splitkit.exactlinalg import DenseMatrix, FieldSpec
 from splitkit.fixtures import boundary_delta3, nonuniform_graph
 from splitkit.laygraph import boolean_graph, validate
 from splitkit.ncfactor import RootSystem, check_all_orderings, check_diamonds, genericity_check, viete_coefficients
-from splitkit.seriespoly import IntPolynomial, TruncatedSeries
+from splitkit.seriespoly import IntPolynomial
 from splitkit.topo import predict_koszulity
 from splitkit.value import Value
 
@@ -42,7 +42,6 @@ _INSTANCES = {
     "OrderingCheck": lambda: (check_all_orderings(_roots()),),
     "DiamondCheck": lambda: (check_diamonds(_roots()),),
     "IntPolynomial": lambda: (IntPolynomial([1, 2]), IntPolynomial()),
-    "TruncatedSeries": lambda: (TruncatedSeries([1, 2]),),
 }
 # lazy cache slot -> the accessor that fills it
 _CACHES = {
