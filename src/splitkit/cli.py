@@ -55,7 +55,6 @@ from .laygraph import (
     is_pure,
     is_uniform,
     subspace_graph,
-    validate,
 )
 from .mobius import graded_mobius, hilbert_series
 from .ncfactor import RootSystem, check_diamonds, genericity_check
@@ -114,7 +113,7 @@ def _build_graph(args) -> tuple:
 
 def _cmd_graph(args) -> tuple:
     g, x, desc = _build_graph(args)
-    rep = validate(g)
+    rep = g.validation()
     payload = {
         "graph": g.to_json_dict(),
         "height": g.height,

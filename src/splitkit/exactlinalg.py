@@ -156,16 +156,17 @@ class EchelonBasis:
                     row[c] //= g
         return row
 
-    def reduce(self, vec: dict) -> dict:
-        """Return vec with its leading column reduced past every pivot.
+    def _reduce(self, vec: dict) -> tuple:
+        """(row, col): a fresh copy of vec reduced past every pivot, and its leading column.
 
-        Result is empty iff vec lies in the current row space.  Over Q the
-        result is a primitive integer vector, a nonzero multiple of the
-        reduced vector.
+        Elimination works in place on that copy.  Over GF(p) its entries
+        are reduced mod p as it is taken; over Q it is divided by its
+        content in place, after a second copy only when a Fraction entry
+        has a denominator to clear.  col is None when the row is empty.
         """
         p = self.field.p
         if p is not None:
-            row = {c: v % p for c, v in vec.items() if v % p}
+            row = {c: r for c, v in vec.items() if (r := v % p)}
         else:
             row = {c: v for c, v in vec.items() if v}
             if any(type(v) is not int for v in row.values()):
@@ -174,28 +175,45 @@ class EchelonBasis:
             if row:
                 g = gcd(*row.values())
                 if g != 1:
-                    row = {c: v // g for c, v in row.items()}
+                    for c in row:
+                        row[c] //= g
         pivots = self.pivots
         while row:
             col = min(row)
             piv = pivots.get(col)
             if piv is None:
-                break
+                return row, col
             row = self._eliminate(row, piv, col)
-        return row
+        return row, None
+
+    def reduce(self, vec: dict) -> dict:
+        """Return vec with its leading column reduced past every pivot.
+
+        Result is empty iff vec lies in the current row space.  Over Q the
+        result is a primitive integer vector, a nonzero multiple of the
+        reduced vector.
+        """
+        return self._reduce(vec)[0]
 
     def insert(self, vec: dict) -> bool:
-        """Add a vector; True if it increased the rank."""
-        row = self.reduce(vec)
-        if not row:
+        """Add a vector; True if it increased the rank.
+
+        The reduced copy is stored as it is, normalised in place only when
+        its leading entry is not already 1 over GF(p) or positive over Q.
+        """
+        row, col = self._reduce(vec)
+        if col is None:
             return False
-        col = min(row)
+        lead = row[col]
         p = self.field.p
         if p is not None:
-            inv = pow(row[col], p - 2, p)
-            row = {c: inv * v % p for c, v in row.items()}
-        elif row[col] < 0:
-            row = {c: -v for c, v in row.items()}
+            if lead != 1:
+                inv = pow(lead, p - 2, p)
+                for c in row:
+                    row[c] = inv * row[c] % p
+        elif lead < 0:
+            for c in row:
+                row[c] = -row[c]
         self.pivots[col] = row
         return True
 

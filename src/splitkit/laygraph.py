@@ -53,10 +53,10 @@ def set_id(vertices) -> str:
 class LayeredGraph(Value):
     """Immutable layered graph: vertices with levels, one-step-down edges.
 
-    `descendants` fills `_desc` on first use.
+    `descendants` fills `_desc` on first use, and `validation` `_report`.
     """
 
-    __slots__ = ("vertices", "edges", "_level", "_out", "_in", "height", "_desc")
+    __slots__ = ("vertices", "edges", "_level", "_out", "_in", "height", "_desc", "_report")
 
     def __init__(self, vertices, edges):
         vs = [(str(v), int(lv)) for v, lv in vertices]
@@ -130,6 +130,15 @@ class LayeredGraph(Value):
         self._desc = desc
         return desc
 
+    def validation(self) -> "ValidationReport":
+        """`validate(self)`, computed once per graph."""
+        try:
+            return self._report
+        except AttributeError:
+            pass
+        self._report = rep = validate(self)
+        return rep
+
     def less_than(self, w: str, v: str) -> bool:
         """w < v in the partial order (a directed path from v to w)."""
         return w in self.descendants()[v]
@@ -186,7 +195,8 @@ def validate(g: LayeredGraph) -> ValidationReport:
 
 
 def require_valid(g: LayeredGraph):
-    rep = validate(g)
+    """Raise ValidationError unless g is valid, reading the report g keeps."""
+    rep = g.validation()
     if not rep.ok:
         raise ValidationError("; ".join(rep.violations))
 

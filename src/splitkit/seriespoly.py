@@ -42,12 +42,19 @@ class IntPolynomial(Value):
         return hash(self.coeffs)
 
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPolynomial([self[k] + other[k] for k in range(n)])
+        return self._combine(other, 1)
 
     def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign: int):
+        """self + sign * other; an int is a constant polynomial."""
+        if isinstance(other, int):
+            other = IntPolynomial([other])
+        elif not isinstance(other, IntPolynomial):
+            return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
-        return IntPolynomial([self[k] - other[k] for k in range(n)])
+        return IntPolynomial([self[k] + sign * other[k] for k in range(n)])
 
     def __neg__(self):
         return IntPolynomial([-c for c in self.coeffs])
@@ -55,6 +62,8 @@ class IntPolynomial(Value):
     def __mul__(self, other):
         if isinstance(other, int):
             return IntPolynomial([other * c for c in self.coeffs])
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented
         if self.is_zero() or other.is_zero():
             return IntPolynomial()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)

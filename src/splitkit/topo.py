@@ -1,24 +1,27 @@
 """Simplicial homology over a field, local homology, and the topological
 side of the discrepancy.
 
-Boundary maps are lists of sparse signed integer columns, built and
-checked over the integers; the field enters only when the exact
-EchelonBasis kernel ranks them (primitive integer rows over Q).  The
-maps and the local-homology walk both read the complex's face table.
-Betti numbers are reduced, come from rank-nullity, and are plain
-tuples.  Ranks are taken from the top dimension down with clearing: a
-column of D_k whose index is a pivot of D_{k+1} is skipped, which
-leaves the rank unchanged.  One reduction also ranks a filtration by
-least vertex: each stage's faces are a suffix of every face-table row,
-so columns go in from the end of the row and each stage's rank is read
-at its cut.  Over a field, cohomology dimensions equal homology
-dimensions degreewise, so the homological ranks serve for both.  The
-discrepancy's topological side is one rule, a signed sum of reduced
-Betti numbers of the down-set complexes Delta(v, k);
-docs/discrepancy_calibration.md derives it.  Each vertex v builds one
-complex, Delta(v, level v), from the graph's own edges as downward
-paths, and its Delta(v, k) are the stages of its filtration by depth.
+Boundary maps are lists of sparse signed integer columns, built from a
+face table and checked over the integers by one builder; the field
+enters only when the exact EchelonBasis kernel ranks them (primitive
+integer rows over Q).  The maps and the local-homology walk both read
+the complex's face table.  Betti numbers are reduced, come from
+rank-nullity, and are plain tuples.  Ranks are taken from the top
+dimension down with clearing: a column of D_k whose index is a pivot of
+D_{k+1} is skipped, which leaves the rank unchanged.  One reduction also
+ranks a filtration by least vertex: in sorted order each stage's faces
+of every dimension are a suffix, so columns go in from the end and each
+stage's rank is read at its cut.  Over a field, cohomology
+dimensions equal homology dimensions degreewise, so the homological
+ranks serve for both.  The discrepancy's topological side is one rule, a
+signed sum of reduced Betti numbers of the down-set complexes
+Delta(v, k); docs/discrepancy_calibration.md derives it.  A graph lists
+each of its chains once, in one table with one set of boundary maps;
+each vertex v's complex Delta(v, level v) is the chains below v, and its
+Delta(v, k) are the stages of that complex's filtration by depth.
 """
+
+from itertools import chain
 
 from .errors import FaceNotInComplex, HypothesisViolation
 from .exactlinalg import EchelonBasis, FieldSpec
@@ -27,77 +30,92 @@ from .value import Value
 
 
 def boundary_columns(x: SimplicialComplex) -> list:
-    """[D_0, ..., D_dim] with D_k the boundary map C_k -> C_{k-1}.
+    """[D_0, ..., D_dim] with D_k the boundary map C_k -> C_{k-1}, from x's face table; see `_boundary`."""
+    return _boundary(x.faces)
 
+
+def _boundary(rows) -> list:
+    """[D_0, ..., D_dim] for the face table `rows`, checked to compose to zero.
+
+    rows[k] holds the k-faces as sorted vertex tuples, each row sorted.
     Each D_k is a list of sparse integer columns {row: +-1}, one per
-    k-simplex of the face table row x.faces[k], in its order; D_0 is the
-    augmentation row.  The sign of dropping position j of a simplex's
-    sorted vertex tuple is (-1)^j.  The composite of consecutive maps is
-    checked to vanish over the integers, which implies it vanishes over
-    every field.
+    k-face of rows[k], in its order; D_0 is the augmentation row.  The
+    sign of dropping position j of a face is (-1)^j.  The composite of
+    consecutive maps is checked on every column to vanish over the
+    integers, which implies it vanishes over every field.
     """
-    bases = x.faces
-    maps = [[{0: 1} for _ in bases[0]]]
-    for k in range(1, x.dim + 1):
-        index = {s: i for i, s in enumerate(bases[k - 1])}
-        cols = []
-        for simplex in bases[k]:
-            col = {}
-            sign = 1
-            for j in range(len(simplex)):
-                col[index[simplex[:j] + simplex[j + 1 :]]] = sign
-                sign = -sign
-            cols.append(col)
-        maps.append(cols)
+    maps = [[{0: 1} for _ in rows[0]]]
+    for k in range(1, len(rows)):
+        maps.append(_columns(rows[k], rows[k - 1]))
     for k in range(1, len(maps)):
+        lower = maps[k - 1]
         for col in maps[k]:
             image = {}
             for r, s in col.items():
-                for q, t in maps[k - 1][r].items():
+                for q, t in lower[r].items():
                     image[q] = image.get(q, 0) + s * t
             if any(image.values()):
                 raise AssertionError(f"boundary composite at dimension {k} is nonzero")
     return maps
 
 
-def _filtered_betti(x: SimplicialComplex, field: FieldSpec, starts) -> list:
-    """Reduced Betti numbers of the full subcomplexes X_t of x on the vertices >= t, for t in `starts`.
+def _columns(faces, facets) -> list:
+    """The boundary columns of `faces` in the row `facets` of the faces one vertex smaller."""
+    index = {s: i for i, s in enumerate(facets)}
+    cols = []
+    for simplex in faces:
+        col = {}
+        sign = 1
+        for j in range(len(simplex)):
+            col[index[simplex[:j] + simplex[j + 1 :]]] = sign
+            sign = -sign
+        cols.append(col)
+    return cols
 
-    `starts` descends, so the X_t grow: a filtration of x.  A face lies in
-    X_t when its least vertex is >= t, and the face table rows are sorted,
-    so X_t's faces are a suffix of every row.  One reduction per boundary
-    map takes the columns from the end of the row and reads the rank at
-    each cut; X_t is a subcomplex, so that rank is the rank of its own
-    D_k.  Entry j is the tuple (b_0, ..., b_dim) of X_(starts[j]), with
-    b_i = (i-faces) - rank D_i - rank D_(i+1).  This is persistent
-    homology in the filtration order (Zomorodian & Carlsson, DCG 2005).
+
+def _filtered_betti(lows: list, maps: list, cols: list, field: FieldSpec, starts) -> list:
+    """Reduced Betti numbers of the stages X_t, t in `starts`, of a subcomplex X of a face table.
+
+    lows[k][c] is the least vertex of face c of dimension k, maps are the
+    table's boundary columns, and cols[k] lists X's k-faces by ascending
+    index, for k = 0..dim X; X is closed under taking faces.  X_t is the
+    full subcomplex of X on the vertices >= t.  `starts` descends, so the
+    X_t grow: a filtration of X.  The table's rows are sorted, so by least
+    vertex first, and X_t's faces are a suffix of every cols[k].  One
+    reduction per boundary map takes the columns from the end of the list
+    and reads the rank at each cut; X_t is a subcomplex, so that rank is
+    the rank of its own D_k.  Entry j is the tuple (b_0, ..., b_dim X) of
+    X_(starts[j]), with b_i = (i-faces) - rank D_i - rank D_(i+1).  This is
+    persistent homology in the filtration order (Zomorodian & Carlsson,
+    DCG 2005).
 
     Ranks are taken from the top down with clearing (Chen & Kerber,
     EuroCG 2011): column i of D_k is skipped when i is a pivot of
     D_(k+1)'s echelon basis.  That pivot is the smallest index of a
-    boundary z = c e_i + sum_{l>i} c_l e_l with c != 0, and D_k z = 0, so
-    D_k e_i lies in the span of the columns l > i, which lie in every X_t
-    that holds face i; by descending induction over the skipped i, each
-    lies in the span of the kept columns of X_t, so skipping leaves every
-    rank unchanged.
+    boundary z = c e_i + sum_{l>i} c_l e_l of X with c != 0, and
+    D_k z = 0, so D_k e_i lies in the span of the columns of the faces
+    l > i of X.  A face l > i comes after i in its sorted row, so its
+    least vertex is no smaller than i's, and it lies in every X_t that
+    holds face i; by descending induction over the skipped i, each lies in
+    the span of the kept columns of X_t, so skipping leaves every rank
+    unchanged.
     """
-    maps = boundary_columns(x)
-    sizes = [[0] * len(starts) for _ in maps]
-    ranks = [[0] * len(starts) for _ in range(len(maps) + 1)]
+    sizes = [[0] * len(starts) for _ in cols]
+    ranks = [[0] * len(starts) for _ in range(len(cols) + 1)]
     cleared = set()
-    for k in reversed(range(len(maps))):
-        row, cols = x.faces[k], maps[k]
+    for k in reversed(range(len(cols))):
+        low, columns, idx = lows[k], maps[k], cols[k]
         basis = EchelonBasis(field)
-        i = len(row)
+        i = len(idx)
         for j, t in enumerate(starts):
-            while i and row[i - 1][0] >= t:
+            while i and low[idx[i - 1]] >= t:
                 i -= 1
-                if i not in cleared:
-                    basis.insert(cols[i])
-            sizes[k][j] = len(row) - i
+                if idx[i] not in cleared:
+                    basis.insert(columns[idx[i]])
+            sizes[k][j] = len(idx) - i
             ranks[k][j] = basis.rank
         cleared = basis.pivots.keys()
-    return [tuple(sizes[k][j] - ranks[k][j] - ranks[k + 1][j] for k in range(len(maps))) for j in range(len(starts))]
+    return [tuple(sizes[k][j] - ranks[k][j] - ranks[k + 1][j] for k in range(len(cols))) for j in range(len(starts))]
 
 
 def betti(x: SimplicialComplex, field: FieldSpec) -> tuple:
@@ -105,11 +123,13 @@ def betti(x: SimplicialComplex, field: FieldSpec) -> tuple:
 
     A plain tuple of length dim + 1, so () for the empty complex; slice
     it to read degrees that may lie past the top.  The ranks are those of
-    `_filtered_betti` with one stage, the whole complex.
+    `_filtered_betti` on every column, with one stage, the whole complex.
     """
     if x.is_empty():
         return ()
-    return _filtered_betti(x, field, (x.faces[0][0][0],))[0]
+    rows = x.faces
+    lows = [[f[0] for f in row] for row in rows]
+    return _filtered_betti(lows, boundary_columns(x), [range(len(row)) for row in rows], field, (rows[0][0][0],))[0]
 
 
 def euler_characteristic(x: SimplicialComplex) -> int:
@@ -194,35 +214,38 @@ def _koszulity(
     return KoszulityPrediction(low and local, low, local, n)
 
 
-def _down_paths(g: LayeredGraph, rank: dict, v: str, k: int) -> list:
-    """Facets of Delta(v, k): the downward paths of k-1 vertices from a child of v.
+def _chain_table(g: LayeredGraph, rank: dict) -> tuple:
+    """(rows, by_top): each chain of positive-level vertices below some vertex of level >= 3, once.
 
-    Every edge of a layered graph is a cover, so these are the maximal
-    chains of the k-1 levels strictly below v.  Each vertex is labelled
-    by `rank`, its position in g.vertices ((level, id) order).  For
-    k = 1 the only path is the empty one.
+    A chain is the ascending tuple of its vertices' `rank`s, their
+    positions in g.vertices ((level, id) order), so its top is its last
+    entry.  rows[k] holds the chains of k + 1 vertices, sorted, and
+    by_top[k] maps a top to the ascending indices in rows[k] of the chains
+    it tops.  The chains topped by t are (t,) and t appended to each chain
+    topped by a positive-level w < t, so each chain is made once, from the
+    one below its top.  Every edge is a cover, so the chains below v are
+    the faces of Delta(v, level v); with a unique top, rows is the face
+    table of Delta(top, height).
     """
-    paths = [((), v)]
-    for _ in range(k - 1):
-        paths = [(path + (rank[w],), w) for path, u in paths for w in g.children(u)]
-    return [path for path, _ in paths]
-
-
-def _vertex_entries(g: LayeredGraph, rank: dict, first: dict, v: str, lv: int, field: FieldSpec) -> list:
-    """v's signed sums for k = 3..lv, from one filtered complex X = Delta(v, lv).
-
-    Delta(v, k) is the full subcomplex of X on the vertices of level
-    >= lv - k + 1, whose labels are the ranks >= first[lv - k + 1], so the
-    Delta(v, k) are the stages of one filtration of X.  Each holds v's
-    children, so reduced degree -1 is 0, and the top degree k-2 never
-    enters.
-    """
-    x = SimplicialComplex(_down_paths(g, rank, v, lv))
-    stages = _filtered_betti(x, field, [first[lv - k + 1] for k in range(3, lv + 1)])
-    return [
-        sum((1 if (k - 1 + i) % 2 == 0 else -1) * b for i, b in enumerate(bv[: k - 2]))
-        for k, bv in enumerate(stages, 3)
-    ]
+    desc = g.descendants()
+    tops = {w for v, lv in g.vertices if lv >= 3 for w in desc[v] if g.level(w) > 0}
+    topped = {}
+    for t, _ in g.vertices:  # by level, so every w < t comes first
+        if t in tops:
+            r = (rank[t],)
+            topped[t] = [r] + [c + r for w in desc[t] if w in topped for c in topped[w]]
+    rows = [[] for _ in range(max(g.level(t) for t in tops))]
+    for chains in topped.values():
+        for c in chains:
+            rows[len(c) - 1].append(c)
+    by_top = []
+    for row in rows:
+        row.sort()
+        groups = {}
+        for i, c in enumerate(row):
+            groups.setdefault(c[-1], []).append(i)
+        by_top.append(groups)
+    return rows, by_top
 
 
 def discrepancy_rhs_table(g: LayeredGraph, field: FieldSpec) -> list:
@@ -233,25 +256,38 @@ def discrepancy_rhs_table(g: LayeredGraph, field: FieldSpec) -> list:
 
         sum over i in [-1, k-3] of (-1)^(k-1+i) * bt_i(Delta(v, k)).
 
-    Delta(v, k) is the order complex of the k-1 levels strictly below v,
-    whose facets are the downward paths of k-1 vertices starting at a
-    child of v.  docs/discrepancy_calibration.md derives the rule from
-    both sides.  The sum is empty for k <= 2, so only vertices of level
-    >= 3 contribute, and each builds one complex, Delta(v, level v): the
-    Delta(v, k) of one v are the stages of its filtration by depth, and
-    one reduction of its boundary maps gives every stage's Betti numbers.
-    The number of downward paths, which bounds the facets of every
-    complex, is capped before any is built.
+    Delta(v, k) is the order complex of the k-1 levels strictly below v.
+    docs/discrepancy_calibration.md derives the rule from both sides.  The
+    sum is empty for k <= 2, so only vertices of level >= 3 contribute.
+    The graph's chains form one table with one set of boundary columns,
+    built and checked once.  A vertex v's complex Delta(v, level v) is the
+    chains whose top lies below v, and its Delta(v, k) are the full
+    subcomplexes on the vertices of level >= level v - k + 1, whose ranks
+    are >= first[level v - k + 1]: the stages of its filtration by depth,
+    read off one filtered reduction of its columns.  Each holds v's
+    children, so reduced degree -1 is 0, and the top degree k-2 never
+    enters.  The number of downward paths, which bounds the facets of
+    every complex, is capped before any chain is built.
     """
     require_valid(g)
     require_path_cap(g)
+    table = [0] * (g.height + 1)
+    if g.height < 3:
+        return table
     rank, first = {}, {}
     for i, (v, lv) in enumerate(g.vertices):
         rank[v] = i
         first.setdefault(lv, i)
-    table = [0] * (g.height + 1)
+    rows, by_top = _chain_table(g, rank)
+    maps = _boundary(rows)
+    lows = [[c[0] for c in row] for row in rows]
+    del rows  # only the least vertices are read from here on
+    desc = g.descendants()
     for v, lv in g.vertices:
         if lv >= 3:
-            for k, entry in enumerate(_vertex_entries(g, rank, first, v, lv, field), 3):
-                table[k] += entry
+            below = [rank[w] for w in desc[v] if g.level(w) > 0]
+            cols = [sorted(chain.from_iterable(by_top[k].get(t, ()) for t in below)) for k in range(lv - 1)]
+            stages = _filtered_betti(lows, maps, cols, field, [first[lv - k + 1] for k in range(3, lv + 1)])
+            for k, bv in enumerate(stages, 3):
+                table[k] += sum((1 if (k - 1 + i) % 2 == 0 else -1) * b for i, b in enumerate(bv[: k - 2]))
     return table

@@ -5,15 +5,30 @@ rule ranked one (v, k) at a time, as test references.
 derives; `calibrate` runs it and the three plain sums below on the 26 cases
 and keeps those matching the algebra side on every one.  The cone rules are
 eliminated on the cone, not taken as closed forms.  `per_pair_table` builds
-and ranks every Delta(v, k) from its own facets, where the shipped table reads
-them all off one filtered complex per vertex.
+and ranks every Delta(v, k) from its own facets, the downward paths of
+`down_paths`, where the shipped table lists every chain of the graph once and
+reads each vertex's Delta(v, k) off one filtered reduction of its chains.
 """
 
 from corpus import full_graph_corpus
 from splitkit.dualalg import discrepancy_lhs_table
 from splitkit.exactlinalg import GF2, RATIONALS
 from splitkit.laygraph import SimplicialComplex, subspace_graph
-from splitkit.topo import _down_paths, betti, discrepancy_rhs_table
+from splitkit.topo import betti, discrepancy_rhs_table
+
+
+def down_paths(g, rank: dict, v: str, k: int) -> list:
+    """Facets of Delta(v, k): the downward paths of k-1 vertices from a child of v.
+
+    Every edge of a layered graph is a cover, so these are the maximal
+    chains of the k-1 levels strictly below v.  Each vertex is labelled
+    by `rank`, its position in g.vertices ((level, id) order).  For
+    k = 1 the only path is the empty one.
+    """
+    paths = [((), v)]
+    for _ in range(k - 1):
+        paths = [(path + (rank[w],), w) for path, u in paths for w in g.children(u)]
+    return [path for path, _ in paths]
 
 
 def calibration_cases() -> list:
@@ -30,7 +45,7 @@ def plain_sum_table(g, field, cone, reduced=True) -> list:
     for k in range(g.height + 1):
         for v, lv in g.vertices:
             if lv >= k:
-                facets = [(-1,) * cone + p for p in _down_paths(g, rank, v, k)]
+                facets = [(-1,) * cone + p for p in down_paths(g, rank, v, k)]
                 b = betti(SimplicialComplex([f for f in facets if f]), field)
                 if b and not reduced:
                     table[k] += 1  # unreduced b_0 = reduced b_0 + 1 on a nonempty complex
@@ -45,7 +60,7 @@ def per_pair_table(g, field) -> list:
     for k in range(2, g.height + 1):
         for v, lv in g.vertices:
             if lv >= k:
-                bv = betti(SimplicialComplex(_down_paths(g, rank, v, k)), field)
+                bv = betti(SimplicialComplex(down_paths(g, rank, v, k)), field)
                 table[k] += sum((1 if (k - 1 + i) % 2 == 0 else -1) * b for i, b in enumerate(bv[: k - 2]))
     return table
 

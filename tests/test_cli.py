@@ -643,6 +643,31 @@ def test_topology_ranks_the_complex_once(capsys, monkeypatch):
     assert ranked.count(x) == 1 and len(ranked) > 1
 
 
+def test_discrepancy_builds_one_boundary_for_the_graphs_chains(capsys, monkeypatch):
+    # boolean_5's sixteen vertices of level >= 3 have down-set complexes of
+    # 1,030 faces between them, of which 540 are distinct chains
+    import splitkit.topo as topo
+
+    built = []
+    boundary = topo._boundary
+    monkeypatch.setattr(topo, "_boundary", lambda rows: built.append(sum(map(len, rows))) or boundary(rows))
+    code, out, _ = run(capsys, "discrepancy", "--boolean", "5", "--field", "gf2")
+    assert code == 0 and json.loads(out)["topology_side"] == [0] * 6
+    assert built == [540]
+
+
+def test_discrepancy_validates_each_graph_once(capsys, monkeypatch):
+    # the hat, the algebra side, the Möbius polynomial and the topology side all require a valid graph
+    import splitkit.laygraph as laygraph
+
+    seen = []  # the graphs themselves, so no id is reused while counting
+    validate = laygraph.validate
+    monkeypatch.setattr(laygraph, "validate", lambda g: seen.append(g) or validate(g))
+    code, out, _ = run(capsys, "discrepancy", "--complex", _RP2, "--hat", "--field", "gf2")
+    assert code == 0 and json.loads(out)["sides_agree"]
+    assert len(seen) == len({id(g) for g in seen}) == 2  # the face poset and its hat
+
+
 def test_hilbert_builds_the_mobius_polynomial_once(capsys, monkeypatch):
     import splitkit.mobius as mobius
 

@@ -2,12 +2,13 @@
 algebra's graded dimensions, on random layered graphs and on the face
 posets of random complexes.
 
-The discrepancy's topological side builds one complex per vertex v,
-Delta(v, level v), from the graph's edges as downward paths, and reads
-every Delta(v, k) as a stage of its filtration by depth.  The oracles
-here take the other routes: `order_complex` recovers covers from the
-descendant sets and takes maximal chains, `per_pair_table` builds and
-ranks each Delta(v, k) alone, the algebra side of the discrepancy comes
+The discrepancy's topological side lists every chain of the graph
+once, in one table, and reads each Delta(v, k) as a stage of the
+filtration by depth of the chains below v.  The oracles here take the
+other routes: `down_paths` builds the facets of each Delta(v, k) as
+downward paths, `order_complex` recovers covers from the descendant sets
+and takes maximal chains, `per_pair_table` builds and ranks each
+Delta(v, k) alone from its paths, the algebra side of the discrepancy comes
 from per-vertex quotients and the Möbius polynomial, and the
 chain-counting Möbius value runs opposite to the recursion, and the
 cone rules of `discrepancy_rules`, eliminated as the cones they stand
@@ -25,12 +26,13 @@ import json
 import random
 from pathlib import Path
 
+import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from chains import mobius_value_chain, order_complex
 from corpus import layered_graphs
-from discrepancy_rules import RULES, per_pair_table, plain_sum_table
+from discrepancy_rules import RULES, down_paths, per_pair_table, plain_sum_table
 from path_words import path_word_hilbert
 from splitkit.dualalg import (
     discrepancy_lhs_table,
@@ -53,12 +55,9 @@ from splitkit.laygraph import (
 )
 from splitkit.mobius import graded_mobius, mobius_value
 from splitkit.seriespoly import IntPolynomial
-from splitkit.topo import (
-    _down_paths,
-    betti,
-    discrepancy_rhs_table,
-    euler_characteristic,
-)
+import splitkit.topo as topo
+from splitkit.fixtures import rp2_six
+from splitkit.topo import _chain_table, betti, discrepancy_rhs_table, euler_characteristic
 
 FIELDS = (RATIONALS, GF2, GF3)
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -95,7 +94,53 @@ def test_down_paths_are_the_order_complex_of_the_truncated_down_set(g):
             elems = [w for w, _ in g.vertices if w not in exclude]  # order_complex's labels
             oracle = order_complex(g, exclude=exclude)
             relabelled = SimplicialComplex([[rank[elems[i]] for i in f] for f in oracle.facets])
-            assert SimplicialComplex(_down_paths(g, rank, v, k)).facets == relabelled.facets, (v, k)
+            assert SimplicialComplex(down_paths(g, rank, v, k)).facets == relabelled.facets, (v, k)
+
+
+def _ranks(g) -> dict:
+    return {v: i for i, (v, _) in enumerate(g.vertices)}
+
+
+def test_chain_table_is_the_down_set_complex_of_the_top():
+    # with a unique top, the graph's chains are the faces of Delta(top, height),
+    # built here from its downward paths; each chain is grouped under its top
+    for g in (boolean_graph(5), hat(complex_graph(rp2_six()))):
+        rank = _ranks(g)
+        (top,) = g.level_vertices(g.height)
+        rows, by_top = _chain_table(g, rank)
+        assert tuple(map(tuple, rows)) == SimplicialComplex(down_paths(g, rank, top, g.height)).faces
+        for row, groups in zip(rows, by_top):
+            assert sorted(i for idx in groups.values() for i in idx) == list(range(len(row)))
+            for t, idx in groups.items():
+                assert idx == sorted(idx) and all(row[i][-1] == t for i in idx)
+    assert sum(map(len, _chain_table(boolean_graph(5), _ranks(boolean_graph(5)))[0])) == 540
+
+
+def test_one_flipped_sign_in_any_column_of_the_chain_table_fails_the_boundary_check(monkeypatch):
+    g = boolean_graph(4)
+    rows, _ = _chain_table(g, _ranks(g))
+    columns = topo._columns
+
+    def flipping(k, c, r):
+        def mutated(faces, facets):
+            cols = columns(faces, facets)
+            if len(faces[0]) == k + 1:
+                cols[c][r] = -cols[c][r]
+            return cols
+
+        return mutated
+
+    flips = 0
+    for k in range(1, len(rows)):
+        for c, face in enumerate(columns(rows[k], rows[k - 1])):
+            for r in face:
+                monkeypatch.setattr(topo, "_columns", flipping(k, c, r))
+                with pytest.raises(AssertionError, match=f"^boundary composite at dimension {k} is nonzero$"):
+                    discrepancy_rhs_table(g, GF2)
+                flips += 1
+    assert flips == 36 * 2 + 24 * 3
+    monkeypatch.setattr(topo, "_columns", columns)
+    assert discrepancy_rhs_table(g, GF2) == [0] * 5
 
 
 @SETTINGS

@@ -135,6 +135,38 @@ def _dot(f, row, field):
     return field.of(sum(v * row.get(j, 0) for j, v in f.items()))
 
 
+@st.composite
+def kernel_inputs(draw):
+    """A field and sparse vectors to insert: Fraction entries over Q, residues
+    outside [0, p) over GF(p), and leading entries of either sign."""
+    field = draw(st.sampled_from(FIELDS))
+    if field.p is None:
+        entry = st.one_of(st.integers(-6, 6), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+    else:
+        entry = st.integers(-7, 7)
+    vecs = st.dictionaries(st.integers(0, 5), entry, max_size=5)
+    return field, draw(st.lists(vecs, min_size=1, max_size=8))
+
+
+@SETTINGS
+@seed(20090943)
+@given(kernel_inputs())
+def test_insert_stores_normalised_rows_and_grows_exactly_when_reduce_is_nonzero(inputs):
+    field, vecs = inputs
+    basis = EchelonBasis(field)
+    for vec in vecs:
+        held = dict(vec)
+        residue = basis.reduce(vec)
+        assert basis.insert(vec) == (residue != {})
+        assert vec == held  # the kernel works on its own copy
+        for col, row in basis.pivots.items():
+            assert min(row) == col and all(type(v) is int for v in row.values())
+            if field.p is None:
+                assert row[col] > 0 and math.gcd(*row.values()) == 1
+            else:
+                assert row[col] == 1 and all(0 < v < field.p for v in row.values())
+
+
 @SETTINGS
 @seed(20090914)
 @given(sparse_systems())

@@ -1,5 +1,7 @@
 import itertools
+import operator
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -32,6 +34,15 @@ def test_polynomials_and_series_refuse_assignment_so_their_hashes_hold():
     with pytest.raises(TypeError):
         series[0] = 5
     assert series in {(1, -2, 4)}
+
+
+def test_an_int_is_a_constant_and_other_operands_are_refused():
+    assert P([1]) + 1 == P([2]) and P([1, 3]) - 1 == P([0, 3])
+    assert P([1]) - 1 == P() and P() + 0 == P()
+    for other in ("1", 1.0, (1,), Fraction(1, 2)):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError, match="unsupported operand|can't multiply"):
+                op(P([1]), other)
 
 
 def test_iterating_a_polynomial_stops_at_its_top_coefficient():

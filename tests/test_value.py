@@ -46,6 +46,7 @@ _INSTANCES = {
 # lazy cache slot -> the accessor that fills it
 _CACHES = {
     "_desc": lambda g: g.descendants(),
+    "_report": lambda g: g.validation(),
     "_faces": lambda x: x.faces,
     "_star": lambda x: x.star,
     "_table": lambda rs: rs.table,
