@@ -38,17 +38,6 @@ class QuadraticPresentation(Value):
 
     __slots__ = ("generators", "relations", "field")
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, QuadraticPresentation)
-            and self.generators == other.generators
-            and self.relations == other.relations
-            and self.field == other.field
-        )
-
-    def __hash__(self):
-        return hash((self.generators, self.relations, self.field))
-
     @classmethod
     def make(cls, generators, relation_vectors, field: FieldSpec) -> "QuadraticPresentation":
         generators = tuple(generators)

@@ -7,18 +7,18 @@ on sparse rows: every rank, dense or sparse, is read off one, and
 every null space comes from `annihilator_basis`.  Over Q the kernel
 eliminates fraction-free: it keeps each row a primitive integer vector and
 divides by pivots only on the way out.  `reduced_rows` hands out
-Fractions; `column_classes`, whose values feed further elimination, hands
-out an int wherever the pivot divides the entry.  A `DenseMatrix` is a
-rational matrix, one integer matrix over a common positive denominator in
-lowest terms, so its arithmetic makes no Fraction; its ranks, solves and
-inverses run the kernel over Q.  GF(p) reaches the package only through
-the kernel's sparse rows.
+Fractions; `column_classes`, whose values feed further elimination and
+every null space, hands out an int wherever the pivot divides the
+entry.  A `DenseMatrix` is a rational matrix, one integer matrix over a
+common positive denominator in lowest terms, so its arithmetic makes no
+Fraction; its ranks, solves and inverses run the kernel over Q.  GF(p)
+reaches the package only through the kernel's sparse rows.
 """
 
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import mul
+from operator import index, mul
 
 from .errors import SingularMatrix
 from .value import Value
@@ -51,17 +51,12 @@ class FieldSpec(Value):
 
     def __init__(self, p: int | None = None):
         if p is not None:
+            p = index(p)
             if not _is_prime(p):
                 raise ValueError(f"modulus {p} is not prime")
             if p >= _WORD_LIMIT:
                 raise ValueError(f"modulus {p} exceeds 2^31 word limit")
         self.p = p
-
-    def __eq__(self, other):
-        return isinstance(other, FieldSpec) and self.p == other.p
-
-    def __hash__(self):
-        return hash((self.p,))
 
     def of(self, value):
         """Coerce int, Fraction, or a "p/q" string into a field element; a float is a TypeError."""
@@ -334,18 +329,6 @@ class DenseMatrix(Value):
         den = self.den
         return tuple(tuple(Fraction(v, den) for v in r) for r in self.num)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, DenseMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.den == other.den
-            and self.num == other.num
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.den, self.num))
-
     def __getitem__(self, ij):
         i, j = ij
         return Fraction(self.num[i][j], self.den)
@@ -419,10 +402,9 @@ class DenseMatrix(Value):
 
     def nullspace_basis(self) -> list[list]:
         """Basis of {x : self @ x = 0}, one vector per free column."""
-        zero = Fraction(0)
         rows = [{j: v for j, v in enumerate(row) if v} for row in self.num]
         ann = annihilator_basis(rows, self.cols, RATIONALS)
-        return [[vec.get(j, zero) for j in range(self.cols)] for vec in ann]
+        return [[Fraction(vec.get(j, 0)) for j in range(self.cols)] for vec in ann]
 
     def solve(self, rhs: "DenseMatrix") -> "DenseMatrix":
         """The X with self . X = rhs, read off the reduced row echelon form of [self | rhs].
@@ -468,7 +450,8 @@ def annihilator_basis(rows: list[dict], dim: int, field: FieldSpec) -> list[dict
     Rows and basis vectors are sparse mappings {coordinate: value} in a
     coordinate space of dimension `dim`; the pairing is the coordinate dot
     product, which matches <a@b, f@g> = f(a)g(b) when both sides are
-    written in the same product basis.
+    written in the same product basis.  Over Q a value is an int wherever
+    it is integral, as in `column_classes`.
     """
     basis = EchelonBasis(field)
     for r in rows:
@@ -476,15 +459,12 @@ def annihilator_basis(rows: list[dict], dim: int, field: FieldSpec) -> list[dict
         if any(not 0 <= j < dim for j in row):
             raise ValueError(f"coordinate outside the ambient dimension {dim}")
         basis.insert(row)
-    rref = basis.reduced_rows()
-    pivots = {min(row) for row in rref}
-    ann = {c: {c: field.of(1)} for c in range(dim) if c not in pivots}
-    for row in rref:
-        pc = min(row)
-        for c, v in row.items():
-            if c != pc:  # an RREF row is its pivot plus free columns
-                ann[c][pc] = field.of(-v)
-    return list(ann.values())
+    # column j of the class matrix is the null vector of the j-th free column
+    ann = [{} for _ in range(dim - basis.rank)]
+    for c, image in enumerate(basis.column_classes(dim)):
+        for j, v in image.items():
+            ann[j][c] = v
+    return ann
 
 
 def char_poly(m: DenseMatrix) -> list[Fraction]:

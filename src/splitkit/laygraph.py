@@ -11,6 +11,7 @@ fewer than B, and each M·B is again in RREF.
 
 import itertools
 import json
+from operator import index
 
 from .caps import PATH_CAP, VERTEX_CAP, size_cap
 from .errors import SizeLimit, ValidationError
@@ -59,7 +60,7 @@ class LayeredGraph(Value):
     __slots__ = ("vertices", "edges", "_level", "_out", "_in", "height", "_desc", "_report")
 
     def __init__(self, vertices, edges):
-        vs = [(str(v), int(lv)) for v, lv in vertices]
+        vs = [(str(v), index(lv)) for v, lv in vertices]
         ids = [v for v, _ in vs]
         if len(set(ids)) != len(ids):
             raise ValidationError("duplicate vertex ids")
@@ -103,16 +104,6 @@ class LayeredGraph(Value):
 
     def __contains__(self, v) -> bool:
         return v in self._level
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LayeredGraph)
-            and self.vertices == other.vertices
-            and self.edges == other.edges
-        )
-
-    def __hash__(self):
-        return hash((self.vertices, self.edges))
 
     def descendants(self) -> dict:
         """Map v -> frozenset of vertices strictly below v (path order)."""
@@ -313,7 +304,7 @@ class SimplicialComplex(Value):
     def __init__(self, facets):
         by_size = {}
         for f in facets:
-            fs = frozenset(int(v) for v in f)
+            fs = frozenset(index(v) for v in f)
             if not fs:
                 raise ValueError("facets must be nonempty")
             by_size.setdefault(len(fs), set()).add(fs)
@@ -357,12 +348,6 @@ class SimplicialComplex(Value):
 
     def f_vector(self) -> list:
         return [len(row) for row in self.faces]
-
-    def __eq__(self, other):
-        return isinstance(other, SimplicialComplex) and self.facets == other.facets
-
-    def __hash__(self):
-        return hash(self.facets)
 
     def to_json_dict(self) -> dict:
         return {"facets": [list(f) for f in self.facets]}

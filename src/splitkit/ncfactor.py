@@ -203,19 +203,6 @@ class MatrixPolynomial(Value):
 
     __slots__ = ("coefficients",)
 
-    def __init__(self, coefficients: tuple = ()):
-        self.coefficients = coefficients
-
-    def __eq__(self, other):
-        return isinstance(other, MatrixPolynomial) and self.coefficients == other.coefficients
-
-    def __hash__(self):
-        return hash((self.coefficients,))
-
-    @property
-    def n(self) -> int:
-        return len(self.coefficients)
-
     def coefficient(self, k: int) -> DenseMatrix:
         """a_k, the coefficient of t^(n-k), 1-indexed."""
         return self.coefficients[k - 1]

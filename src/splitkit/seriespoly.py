@@ -6,6 +6,7 @@ tuple of D + 1 ints, trailing zeros kept.
 """
 
 import sys
+from operator import index
 
 from .errors import SizeLimit
 from .value import Value
@@ -17,7 +18,7 @@ class IntPolynomial(Value):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        coeffs = [int(c) for c in coeffs]
+        coeffs = [index(c) for c in coeffs]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
@@ -34,12 +35,6 @@ class IntPolynomial(Value):
 
     def __iter__(self):
         return iter(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __add__(self, other):
         return self._combine(other, 1)

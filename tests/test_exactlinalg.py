@@ -196,6 +196,14 @@ def test_field_coercion_refuses_floats():
         RootSystem.from_entries([[[0.5]], [[1]]])
 
 
+def test_field_spec_refuses_a_float_modulus():
+    with pytest.raises(TypeError):
+        FieldSpec(2.0)
+    assert FieldSpec(3) == GF3 and FieldSpec(3).of(4) == 1
+    with pytest.raises(ValueError, match="^modulus 1 is not prime$"):
+        FieldSpec(True)
+
+
 def test_char_poly_companion():
     # companion matrix of t^2 - 3t + 2 (roots 1 and 2)
     m = DenseMatrix([[0, -2], [1, 3]])

@@ -23,6 +23,18 @@ from splitkit.laygraph import (
 )
 
 
+def test_graph_levels_refuse_floats():
+    with pytest.raises(TypeError):
+        LayeredGraph([("m", 0), ("a", 1.7)], [("a", "m")])
+    assert LayeredGraph([("m", 0), ("a", True)], [("a", "m")]) == LayeredGraph([("m", 0), ("a", 1)], [("a", "m")])
+
+
+def test_complex_vertices_refuse_floats():
+    with pytest.raises(TypeError):
+        SimplicialComplex([[1.5, 2.2, 3]])
+    assert SimplicialComplex([[True, 2]]).facets == ((1, 2),)
+
+
 def test_boolean_graph_counts():
     assert len(boolean_graph(1).vertices) == 2 and len(boolean_graph(1).edges) == 1
     g2 = boolean_graph(2)

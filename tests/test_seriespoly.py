@@ -24,6 +24,13 @@ def test_polynomial_trims_trailing_zeros():
     assert P().degree == -1
 
 
+def test_polynomial_coefficients_refuse_floats():
+    for coeffs in ([0.5], [1, 2.0]):
+        with pytest.raises(TypeError):
+            P(coeffs)
+    assert P([True, 2]) == P([1, 2])
+
+
 def test_polynomials_and_series_refuse_assignment_so_their_hashes_hold():
     value = P([1, 2])
     held = {value}
